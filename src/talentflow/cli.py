@@ -110,8 +110,9 @@ def _cmd_hops(args) -> int:
          "dst_title", "dst_org", "dst_industry", "kind", "stay_months"],
         rows,
     )
-    if diag.invalid_period_jobs:
-        print(f"skipped {diag.invalid_period_jobs} jobs with start > end", file=sys.stderr)
+    if diag.future_jobs or diag.invalid_period_jobs:
+        print(f"skipped {diag.future_jobs} jobs starting after {config.curr_date} and "
+              f"{diag.invalid_period_jobs} jobs with start > end", file=sys.stderr)
     print(args.out)
     return 0
 
@@ -146,7 +147,7 @@ def _cmd_metrics_levels(args) -> int:
         if level is None:
             continue
         rows.append(
-            [key.title, key.organization, len(index.supporters_by_orgjob[key]), level]
+            [key.title, key.organization, index.support_by_orgjob[key], level]
         )
     reports.write_rows(
         Path(args.out), ["title", "organization", "support", "level_months"], rows
@@ -281,16 +282,8 @@ def _cmd_report_all(args) -> int:
     out_dir = args.out_dir or os.environ.get("TALENTFLOW_OUT_DIR")
     if not out_dir:
         raise ValueError("pass --out-dir or set TALENTFLOW_OUT_DIR")
-    profiles, _report = ingest_profiles(args.input)
-    curr = DateMonth.parse(args.curr_date) if args.curr_date else infer_curr_date(profiles)
-    config = AnalysisConfig(
-        curr_date=curr,
-        min_support=args.min_support,
-        cohort_min_support=args.cohort_min_support,
-        teleport_prob=args.teleport,
-        group_bin_width_years=args.bin_years,
-    )
-    for path in reports.write_all_reports(profiles, config, out_dir):
+    active, config = _load(args)
+    for path in reports.write_all_reports(active, config, out_dir):
         print(path)
     return 0
 

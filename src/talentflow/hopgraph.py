@@ -8,10 +8,10 @@ self-loop; self-loop mass is reported separately so analyses can exclude
 it. At the organization level only external hops contribute, so there are
 no self-loops.
 
-Node support is the number of distinct user profiles that ever hold the
-node's job or organization -- a property of the raw corpus, not of the
-graph -- so pruning under-support nodes is a single pass: removing a
-neighbor can never invalidate a surviving node.
+Node support is the number of distinct user profiles with a usable stint
+(see usable_jobs) in the node's job or organization -- a property of the
+corpus, not of the graph -- so pruning under-support nodes is a single
+pass: removing a neighbor can never invalidate a surviving node.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable
 from xml.sax.saxutils import quoteattr
 
 from .hops import Hop, HopKind
-from .model import AnalysisConfig, JobKey, UserProfile
+from .model import AnalysisConfig, JobKey, UserProfile, usable_jobs
 
 NodeKey = JobKey | str
 
@@ -117,14 +117,14 @@ def build_graph(
 
     Edge weights count hop events by default; with distinct_users=True each
     user contributes at most 1 per edge. Support is counted from profiles
-    when given (distinct holders of the node's job/organization anywhere in
-    their history); without profiles it falls back to distinct users seen at
-    the node across the hops. Nodes under min_support are removed, then
+    when given (distinct holders of a usable stint at the node's
+    job/organization); without profiles it falls back to distinct users seen
+    at the node across the hops. Nodes under min_support are removed, then
     edges with a missing endpoint -- one pass, no cascade.
     """
     weights: dict[tuple[NodeKey, NodeKey], int] = defaultdict(int)
     edge_users: dict[tuple[NodeKey, NodeKey], set[str]] = defaultdict(set)
-    hop_users: dict[NodeKey, set[str]] = defaultdict(set)
+    holders: dict[NodeKey, set[str]] = defaultdict(set)
     nodes: set[NodeKey] = set()
 
     for hop in hops:
@@ -134,8 +134,9 @@ def build_graph(
         u, v = endpoints
         nodes.add(u)
         nodes.add(v)
-        hop_users[u].add(hop.user_id)
-        hop_users[v].add(hop.user_id)
+        if profiles is None:
+            holders[u].add(hop.user_id)
+            holders[v].add(hop.user_id)
         if distinct_users:
             edge_users[(u, v)].add(hop.user_id)
         else:
@@ -144,14 +145,11 @@ def build_graph(
         weights = {e: len(users) for e, users in edge_users.items()}
 
     if profiles is not None:
-        holders: dict[NodeKey, set[str]] = defaultdict(set)
         for p in profiles:
-            for j in p.jobs:
+            for j in usable_jobs(p, config.curr_date):
                 key: NodeKey = j.organization if level is GraphLevel.ORG else j.key
                 holders[key].add(p.user_id)
-        support = {n: len(holders.get(n, ())) for n in nodes}
-    else:
-        support = {n: len(hop_users[n]) for n in nodes}
+    support = {n: len(holders.get(n, ())) for n in nodes}
 
     kept = {n for n in nodes if support[n] >= config.min_support}
     return HopGraph(

@@ -14,7 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import AnalysisConfig, DateMonth, JobRecord, UserProfile, months_between
+from .model import (
+    AnalysisConfig,
+    DateMonth,
+    JobRecord,
+    StintDrops,
+    UserProfile,
+    months_between,
+    usable_jobs,
+)
 
 
 class HopKind(str, Enum):
@@ -37,11 +45,8 @@ class Hop:
     duration_of_stay_months: int
 
 
-@dataclass
-class HopDiagnostics:
-    """Counters for records dropped during extraction."""
-
-    invalid_period_jobs: int = 0  # start > end, skipped
+# Counters for the stints extraction dropped, by reason.
+HopDiagnostics = StintDrops
 
 
 def classify_hop(
@@ -75,18 +80,12 @@ def extract_hops(
 ) -> list[Hop]:
     """Derive the hops of one profile, in chronological order.
 
-    Jobs with start > end are skipped (and counted in diag when given); an
-    overlapping adjacent pair emits nothing but the chain continues with the
-    next job. A zero gap (dest starts the month the source ends) is a hop.
+    Only the stints usable_jobs keeps take part (drops are counted in diag
+    when given); an overlapping adjacent pair emits nothing but the chain
+    continues with the next job. A zero gap (dest starts the month the
+    source ends) is a hop.
     """
-    jobs = []
-    for j in profile.jobs:
-        if not j.has_valid_period(curr_date):
-            if diag is not None:
-                diag.invalid_period_jobs += 1
-            continue
-        jobs.append(j)
-    jobs.sort(key=_sort_key(curr_date))
+    jobs = sorted(usable_jobs(profile, curr_date, diag), key=_sort_key(curr_date))
 
     hops: list[Hop] = []
     for source, dest in zip(jobs, jobs[1:]):

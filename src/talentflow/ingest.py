@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .model import (
-    AnalysisConfig,
     DateMonth,
     InvalidLabelError,
     JobRecord,
@@ -182,16 +181,12 @@ def _repair_industries(profiles: list[UserProfile], report: IngestReport) -> lis
     return repaired
 
 
-def ingest_profiles(
-    path: str | Path, config: AnalysisConfig | None = None
-) -> tuple[list[UserProfile], IngestReport]:
+def ingest_profiles(path: str | Path) -> tuple[list[UserProfile], IngestReport]:
     """Read a JSONL profile corpus; returns (profiles, report).
 
     Output order matches input order. Blank lines are skipped without being
-    counted. The config argument is accepted for interface uniformity with
-    the rest of the pipeline; parsing itself does not consult it.
+    counted.
     """
-    del config
     report = IngestReport()
     profiles: list[UserProfile] = []
     seen_ids: set[str] = set()

@@ -33,8 +33,10 @@ from .model import (
     JobKey,
     JobRecord,
     OrgJobKey,
+    StintDrops,
     UserProfile,
     months_between,
+    usable_jobs,
 )
 
 
@@ -69,14 +71,15 @@ class CorpusIndex:
     """Precomputed per-key aggregates for one corpus + config.
 
     Built once, queried many times; all downstream metric lookups
-    (mean experience, mean age, job level) read from here.
+    (mean experience, mean age, job level) read the final means stored here.
+    support_by_orgjob counts distinct people with a defined work experience.
     """
 
     config: AnalysisConfig
-    wk_exp_by_jobkey: dict[JobKey, list[int]]
-    age_by_jobkey: dict[JobKey, list[int]]
-    wk_exp_by_orgjob: dict[OrgJobKey, list[int]]
-    supporters_by_orgjob: dict[OrgJobKey, set[str]]
+    wk_exp_by_jobkey: dict[JobKey, float]
+    age_by_jobkey: dict[JobKey, float]
+    wk_exp_by_orgjob: dict[OrgJobKey, float]
+    support_by_orgjob: dict[OrgJobKey, int]
     skill_count_by_user: dict[str, int]
     negative_experience_jobs: int
     future_jobs: int
@@ -84,50 +87,43 @@ class CorpusIndex:
 
     @classmethod
     def build(cls, profiles: Iterable[UserProfile], config: AnalysisConfig) -> "CorpusIndex":
-        # Garbage stints never feed an average: future starts and reversed
-        # periods are dropped with a diagnostic, like in hop extraction.
+        # Only the stints usable_jobs keeps feed an aggregate, as in hop
+        # extraction and graph support.
         wk_job: dict[JobKey, list[int]] = defaultdict(list)
         age_job: dict[JobKey, list[int]] = defaultdict(list)
         wk_org: dict[OrgJobKey, list[int]] = defaultdict(list)
         supporters: dict[OrgJobKey, set[str]] = defaultdict(set)
         skills: dict[str, int] = {}
+        drops = StintDrops()
         negative = 0
-        future = 0
-        invalid = 0
         for p in profiles:
             skills[p.user_id] = len(p.skills)
-            for j in p.jobs:
-                try:
-                    age = job_age(j, config)
-                except FutureJobError:
-                    future += 1
-                    continue
-                if not j.has_valid_period(config.curr_date):
-                    invalid += 1
-                    continue
-                age_job[j.key].append(age)
+            for j in usable_jobs(p, config.curr_date, drops):
+                age_job[j.key].append(job_age(j, config))
                 wk = work_experience(p, j, config.curr_date)
                 if wk is None:
-                    if (
-                        p.grad_date is not None
-                        and months_between(p.grad_date, j.end_or(config.curr_date)) < 0
-                    ):
-                        negative += 1
+                    if p.grad_date is not None:
+                        negative += 1  # ended before graduation
                     continue
                 wk_job[j.key].append(wk)
                 wk_org[j.org_key].append(wk)
                 supporters[j.org_key].add(p.user_id)
         return cls(
             config=config,
-            wk_exp_by_jobkey=dict(wk_job),
-            age_by_jobkey=dict(age_job),
-            wk_exp_by_orgjob=dict(wk_org),
-            supporters_by_orgjob=dict(supporters),
+            wk_exp_by_jobkey=_means(wk_job),
+            age_by_jobkey=_means(age_job),
+            wk_exp_by_orgjob=_means(wk_org),
+            support_by_orgjob={key: len(users) for key, users in supporters.items()},
             skill_count_by_user=skills,
             negative_experience_jobs=negative,
-            future_jobs=future,
-            invalid_period_jobs=invalid,
+            future_jobs=drops.future_jobs,
+            invalid_period_jobs=drops.invalid_period_jobs,
         )
+
+
+def _means(values_by_key: Mapping[object, list[int]]) -> dict:
+    # An exact int sum over a count: the same float at every lookup.
+    return {key: sum(values) / len(values) for key, values in values_by_key.items()}
 
 
 def work_experience_of_jobkey(key: JobKey, index: CorpusIndex) -> float | None:
@@ -135,18 +131,12 @@ def work_experience_of_jobkey(key: JobKey, index: CorpusIndex) -> float | None:
 
     None when no instance has a defined work experience (no support).
     """
-    values = index.wk_exp_by_jobkey.get(key)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return index.wk_exp_by_jobkey.get(key)
 
 
 def job_age_of_jobkey(key: JobKey, index: CorpusIndex) -> float | None:
     """Mean job age (months) over instances of (title, industry)."""
-    values = index.age_by_jobkey.get(key)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return index.age_by_jobkey.get(key)
 
 
 def job_level(key: OrgJobKey, index: CorpusIndex) -> float | None:
@@ -155,12 +145,9 @@ def job_level(key: OrgJobKey, index: CorpusIndex) -> float | None:
     None (no support) when fewer than min_support distinct people contribute
     a defined work-experience value for this (title, organization).
     """
-    if len(index.supporters_by_orgjob.get(key, ())) < index.config.min_support:
+    if index.support_by_orgjob.get(key, 0) < index.config.min_support:
         return None
-    values = index.wk_exp_by_orgjob.get(key)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    return index.wk_exp_by_orgjob[key]
 
 
 class LevelGainLabel(str, Enum):

@@ -1,8 +1,8 @@
 """Core data model: month-granular dates, jobs, profiles, and run configuration.
 
 All durations are carried as signed month counts internally; reports convert
-to years as months/12. Every type here is immutable after construction and
-safe to share across threads.
+to years as months/12. Every type here except the StintDrops counters is
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class JobRecord:
 
     Labels are expected to be pre-normalized (see normalize_label); industry
     is a function of organization, which ingestion repairs and the generator
-    guarantees. A record with start > end is data noise: it is constructible,
-    and consumers skip it with a diagnostic instead of failing the profile.
+    guarantees. A record that starts after the analysis date or ends before
+    it starts is constructible; usable_jobs leaves it out of every stage.
     """
 
     title: str
@@ -126,6 +126,37 @@ class UserProfile:
     def is_active(self) -> bool:
         """At least one education entry and at least one skill."""
         return self.education_entries >= 1 and len(self.skills) >= 1
+
+
+@dataclass
+class StintDrops:
+    """Counts of the stints usable_jobs left out, by reason."""
+
+    future_jobs: int = 0  # starts after the analysis date
+    invalid_period_jobs: int = 0  # ends before it starts
+
+
+def usable_jobs(
+    profile: UserProfile, curr_date: DateMonth, drops: StintDrops | None = None
+) -> list[JobRecord]:
+    """The profile's stints that count, in listing order.
+
+    A stint counts when it starts no later than the analysis date and does
+    not end before it starts (an open end resolves to the analysis date).
+    Every stage reads stints through here. Drops are counted in drops when
+    given; a stint that fails both tests counts as a future start.
+    """
+    if drops is None:
+        drops = StintDrops()
+    kept = []
+    for j in profile.jobs:
+        if months_between(j.start, curr_date) < 0:
+            drops.future_jobs += 1
+        elif not j.has_valid_period(curr_date):
+            drops.invalid_period_jobs += 1
+        else:
+            kept.append(j)
+    return kept
 
 
 @dataclass(frozen=True)

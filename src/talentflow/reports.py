@@ -49,7 +49,7 @@ from .metrics import (
     promotion_summary,
     work_experience,
 )
-from .model import AnalysisConfig, UserProfile
+from .model import AnalysisConfig, UserProfile, usable_jobs
 
 TOP_K = 20
 STAY_BIN_MONTHS = 12
@@ -89,14 +89,8 @@ def write_distributions(
     wk_years = []
     age_years = []
     for p in profiles:
-        for j in p.jobs:
-            try:
-                age = job_age(j, config)
-            except ValueError:
-                continue
-            if not j.has_valid_period(config.curr_date):
-                continue
-            age_years.append(age / 12.0)
+        for j in usable_jobs(p, config.curr_date):
+            age_years.append(job_age(j, config) / 12.0)
             wk = work_experience(p, j, config.curr_date)
             if wk is not None:
                 wk_years.append(wk / 12.0)

@@ -49,6 +49,20 @@ def test_hops_csv_schema(corpus, tmp_path):
     assert all(r[7] in ("internal", "external") for r in rows[1:])
 
 
+def test_hops_notes_both_drop_reasons(tmp_path, capsys):
+    jobs = [
+        {"title": "a", "organization": "x", "industry": "i", "start": "2010-01", "end": "2009-01"},
+        {"title": "b", "organization": "y", "industry": "i", "start": "2013-01", "end": None},
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"user_id": "u1", "grad_date": "2008-06", "education_count": 1,
+                                  "skills": ["s"], "jobs": jobs}) + "\n", encoding="utf-8")
+    assert main(["hops", "--input", str(corpus), "--curr-date", "2012-01",
+                 "--out", str(tmp_path / "hops.csv")]) == 0
+    err = capsys.readouterr().err
+    assert "skipped 1 jobs starting after 2012-01 and 1 jobs with start > end" in err
+
+
 def test_metrics_cohorts(corpus, tmp_path):
     out = tmp_path / "cohorts.csv"
     assert main([

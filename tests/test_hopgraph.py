@@ -84,6 +84,20 @@ def test_support_from_profiles_counts_all_holders():
     assert "y" not in g.nodes  # only u1 holds y
 
 
+def test_future_start_adds_no_holder_support():
+    mover = profile("u1", jobs=[
+        job("a", "x", "i", "2010-01", "2011-01"),
+        job("a", "y", "i", "2011-01", "2012-01"),
+    ])
+    # A closed stint that starts after the analysis date does not count.
+    late = profile("u2", jobs=[job("a", "y", "i", "2017-01", "2018-01")])
+    hops, _ = extract_all_hops([mover, late], CFG1)
+    g = build_graph(hops, GraphLevel.ORG, CFG1, profiles=[mover, late])
+    assert g.node_support == {"x": 1, "y": 1}
+    g = build_graph(hops, GraphLevel.JOB, CFG1, profiles=[mover, late])
+    assert g.node_support == {JobKey("a", "i"): 1}
+
+
 def test_pruning_removes_dangling_edges_once():
     hops = [
         hop("a", "x", "i", "a", "y", "i", user="u1"),

@@ -19,7 +19,7 @@ from talentflow.metrics import (
     work_experience,
     work_experience_of_jobkey,
 )
-from talentflow.model import JobKey, OrgJobKey, months_between
+from talentflow.model import JobKey, OrgJobKey, months_between, usable_jobs
 from helpers import config, job, profile, random_profile
 
 CFG = config("2016-06")
@@ -97,6 +97,19 @@ def test_job_age_examples():
     assert job_age(job("t", "o", "i", "2016-06"), CFG) == 0
     with pytest.raises(FutureJobError):
         job_age(job("t", "o", "i", "2017-01"), CFG)
+
+
+@pytest.mark.parametrize("future", [
+    job("b", "y", "i", "2017-01", "2018-01"),  # closed, starts after curr_date
+    job("b", "y", "i", "2018-01", "2017-01"),  # also ends before it starts
+])
+def test_future_start_yields_no_hop_and_is_counted_once(future):
+    p = profile(grad="2005-01", jobs=[job("a", "x", "i", "2012-01", "2013-01"), future])
+    hops, diag = extract_all_hops([p], CFG)
+    index = CorpusIndex.build([p], CFG)
+    assert hops == []
+    assert (diag.future_jobs, diag.invalid_period_jobs) == (1, 0)
+    assert (index.future_jobs, index.invalid_period_jobs) == (1, 0)
 
 
 def test_job_age_jobkey_mean_over_instances():
@@ -377,6 +390,16 @@ def test_cohort_conservation(seed):
     for cell in stats.cohorts.values():
         assert cell.support == cell.external_hops + cell.internal_hops
         assert cell.suppressed == (cell.support < cfg.cohort_min_support)
+    # Hops and the index drop the same stints, and usable + dropped = seen,
+    # also with reversed stints and an analysis date that leaves future starts.
+    corpus = profiles + [random_profile(rng, f"n{i}") for i in range(30)]
+    for c in (cfg, config("2008-06")):
+        _, diag = extract_all_hops(corpus, c)
+        idx = CorpusIndex.build(corpus, c)
+        dropped = (idx.future_jobs, idx.invalid_period_jobs)
+        assert (diag.future_jobs, diag.invalid_period_jobs) == dropped
+        usable = sum(len(usable_jobs(p, c.curr_date)) for p in corpus)
+        assert usable + sum(dropped) == sum(len(p.jobs) for p in corpus)
 
 
 # --- stay bins ----------------------------------------------------------------------
