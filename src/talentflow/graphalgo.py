@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import zeta
 
-from .hopgraph import HopGraph, NodeKey, node_sort_key
+from .hopgraph import HopGraph, NodeKey
 from .model import AnalysisConfig
 
 
@@ -52,7 +52,7 @@ class CentralityTable:
 
 
 def _make_ranking(scores: dict[NodeKey, float]) -> tuple[NodeKey, ...]:
-    return tuple(sorted(scores, key=lambda n: (-scores[n], node_sort_key(n))))
+    return tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))  # ties stay in node order
 
 
 def degree_centrality(graph: HopGraph, direction: Direction) -> CentralityTable:
@@ -124,14 +124,14 @@ def _undirected_adjacency(graph: HopGraph) -> dict[NodeKey, list[NodeKey]]:
     for u, v in graph.edges:
         adj[u].add(v)
         adj[v].add(u)
-    return {n: sorted(s, key=node_sort_key) for n, s in adj.items()}
+    return {n: sorted(s) for n, s in adj.items()}
 
 
 def _directed_adjacency(graph: HopGraph) -> dict[NodeKey, list[NodeKey]]:
     adj: dict[NodeKey, set[NodeKey]] = {n: set() for n in graph.nodes}
     for u, v in graph.edges:
         adj[u].add(v)
-    return {n: sorted(s, key=node_sort_key) for n, s in adj.items()}
+    return {n: sorted(s) for n, s in adj.items()}
 
 
 def _strongly_connected(nodes: list[NodeKey], adj: dict[NodeKey, list[NodeKey]]) -> list[list[NodeKey]]:
@@ -214,8 +214,8 @@ def connected_components(graph: HopGraph, mode: ComponentMode) -> list[list[Node
         comps = _strongly_connected(nodes, _directed_adjacency(graph))
     else:
         comps = _weakly_connected(nodes, _undirected_adjacency(graph))
-    comps = [sorted(c, key=node_sort_key) for c in comps]
-    comps.sort(key=lambda c: (-len(c), node_sort_key(c[0])))
+    comps = sorted(sorted(c) for c in comps)  # disjoint, so by first node
+    comps.sort(key=len, reverse=True)
     return comps
 
 

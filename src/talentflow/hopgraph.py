@@ -43,12 +43,6 @@ class ExportFormat(str, Enum):
     GRAPHML = "graphml"
 
 
-def node_sort_key(node: NodeKey) -> tuple:
-    if isinstance(node, JobKey):
-        return (node.title, node.industry)
-    return (node,)
-
-
 def node_to_str(node: NodeKey) -> str:
     """Render a node for exports: 'title | industry' at job level."""
     if isinstance(node, JobKey):
@@ -89,13 +83,10 @@ class HopGraph:
         return len(self.edges) / (n * n) if n else 0.0
 
     def sorted_nodes(self) -> list[NodeKey]:
-        return sorted(self.nodes, key=node_sort_key)
+        return sorted(self.nodes)
 
     def sorted_edges(self) -> list[tuple[tuple[NodeKey, NodeKey], int]]:
-        return sorted(
-            self.edges.items(),
-            key=lambda kv: (node_sort_key(kv[0][0]), node_sort_key(kv[0][1])),
-        )
+        return sorted(self.edges.items())
 
 
 def _hop_endpoints(hop: Hop, level: GraphLevel) -> tuple[NodeKey, NodeKey] | None:

@@ -68,7 +68,7 @@ def classify_hop(
 
 def _sort_key(curr_date: DateMonth):
     def key(j: JobRecord):
-        return (j.start, j.end_or(curr_date), j.title, j.organization)
+        return (j.start.ordinal, j.end_or(curr_date).ordinal, j.title, j.organization)
 
     return key
 

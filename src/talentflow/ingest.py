@@ -60,50 +60,72 @@ class IngestReport:
         self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + 1
 
 
-def _parse_date(value: object, where: str) -> DateMonth:
+class _Interned:
+    """One ingest call's table: each distinct raw label is normalized once,
+    each distinct date text parsed once, and equal values share one object."""
+
+    def __init__(self) -> None:
+        self.labels: dict[str, str] = {}  # raw and normalized -> normalized
+        self.dates: dict[str, DateMonth] = {}
+
+    def label(self, raw: str) -> str:
+        if (label := self.labels.get(raw)) is None:
+            label = normalize_label(raw)
+            label = self.labels[raw] = self.labels.setdefault(label, label)
+        return label
+
+    def date(self, text: str) -> DateMonth:
+        return self.dates.get(text) or self.dates.setdefault(text, DateMonth.parse(text))
+
+
+def _parse_date(value: object, where: str, memo: _Interned) -> DateMonth:
     if not isinstance(value, str):
         raise MalformedRecordError(f"{where}: expected YYYY-MM string, got {value!r}")
     try:
-        return DateMonth.parse(value)
+        return memo.date(value)
     except ValueError as exc:
         raise MalformedRecordError(f"{where}: {exc}") from exc
 
 
-def _parse_grad_date(value: object) -> DateMonth | None:
+def _parse_grad_date(value: object, memo: _Interned) -> DateMonth | None:
     # A list of graduation dates is allowed; the latest one wins.
     if value is None:
         return None
     if isinstance(value, list):
         if not value:
             return None
-        return max(_parse_date(v, "grad_date") for v in value)
-    return _parse_date(value, "grad_date")
+        return max(_parse_date(v, "grad_date", memo) for v in value)
+    return _parse_date(value, "grad_date", memo)
 
 
-def _parse_label(value: object, where: str) -> str:
+def _parse_label(value: object, where: str, memo: _Interned) -> str:
     if not isinstance(value, str):
         raise MalformedRecordError(f"{where}: expected string, got {value!r}")
     try:
-        return normalize_label(value)
+        return memo.label(value)
     except InvalidLabelError as exc:
         raise MalformedRecordError(f"{where}: {exc}") from exc
 
 
-def _parse_job(obj: object, where: str) -> JobRecord:
+def _parse_job(obj: object, where: str, memo: _Interned) -> JobRecord:
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"{where}: expected object, got {obj!r}")
     end = obj.get("end")
     return JobRecord(
-        title=_parse_label(obj.get("title"), f"{where}.title"),
-        organization=_parse_label(obj.get("organization"), f"{where}.organization"),
-        industry=_parse_label(obj.get("industry"), f"{where}.industry"),
-        start=_parse_date(obj.get("start"), f"{where}.start"),
-        end=None if end is None else _parse_date(end, f"{where}.end"),
+        title=_parse_label(obj.get("title"), f"{where}.title", memo),
+        organization=_parse_label(obj.get("organization"), f"{where}.organization", memo),
+        industry=_parse_label(obj.get("industry"), f"{where}.industry", memo),
+        start=_parse_date(obj.get("start"), f"{where}.start", memo),
+        end=None if end is None else _parse_date(end, f"{where}.end", memo),
     )
 
 
 def parse_profile_line(line: str) -> UserProfile:
     """Parse one JSONL record into a UserProfile; raises MalformedRecordError."""
+    return _parse_profile(line, _Interned())
+
+
+def _parse_profile(line: str, memo: _Interned) -> UserProfile:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -127,18 +149,18 @@ def parse_profile_line(line: str) -> UserProfile:
         if not isinstance(s, str):
             raise MalformedRecordError(f"skills: expected string entries, got {s!r}")
         try:
-            skills.add(normalize_label(s))
+            skills.add(memo.label(s))
         except InvalidLabelError:
             continue  # blank skill strings are noise, not a reason to reject
 
     raw_jobs = obj.get("jobs", [])
     if not isinstance(raw_jobs, list):
         raise MalformedRecordError(f"jobs: expected list, got {raw_jobs!r}")
-    jobs = tuple(_parse_job(j, f"jobs[{i}]") for i, j in enumerate(raw_jobs))
+    jobs = tuple(_parse_job(j, f"jobs[{i}]", memo) for i, j in enumerate(raw_jobs))
 
     return UserProfile(
         user_id=user_id.strip(),
-        grad_date=_parse_grad_date(obj.get("grad_date")),
+        grad_date=_parse_grad_date(obj.get("grad_date"), memo),
         skills=frozenset(skills),
         education_entries=education,
         jobs=jobs,
@@ -190,6 +212,7 @@ def ingest_profiles(path: str | Path) -> tuple[list[UserProfile], IngestReport]:
     report = IngestReport()
     profiles: list[UserProfile] = []
     seen_ids: set[str] = set()
+    memo = _Interned()
 
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -197,7 +220,7 @@ def ingest_profiles(path: str | Path) -> tuple[list[UserProfile], IngestReport]:
                 continue
             report.total_records += 1
             try:
-                profile = parse_profile_line(line)
+                profile = _parse_profile(line, memo)
             except MalformedRecordError:
                 report._reject(REASON_MALFORMED)
                 continue

@@ -2,14 +2,19 @@
 
 All durations are carried as signed month counts internally; reports convert
 to years as months/12. Every type here except the StintDrops counters is
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads; dates,
+records and profiles are slotted, so no attribute can be added either.
+JobKey and OrgJobKey are named tuples that hash, compare and sort like plain
+(title, ...) tuples: JobKey("a", "b") == OrgJobKey("a", "b"), so the two
+must never key one dict.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
 _WS_RUN = re.compile(r"\s+")
@@ -20,16 +25,18 @@ class InvalidLabelError(ValueError):
     """A label was empty after normalization."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DateMonth:
     """A calendar month. Totally ordered; differences are month counts."""
 
     year: int
     month: int
+    ordinal: int = field(init=False, repr=False, compare=False)  # months since year 0
 
     def __post_init__(self) -> None:
         if not 1 <= self.month <= 12:
             raise ValueError(f"month out of range [1,12]: {self.month}")
+        object.__setattr__(self, "ordinal", self.year * 12 + self.month - 1)
 
     @classmethod
     def parse(cls, text: str) -> "DateMonth":
@@ -47,7 +54,7 @@ class DateMonth:
 
 def months_between(a: DateMonth, b: DateMonth) -> int:
     """Signed month count from a to b; antisymmetric and additive."""
-    return (b.year - a.year) * 12 + (b.month - a.month)
+    return b.ordinal - a.ordinal
 
 
 def normalize_label(raw: str) -> str:
@@ -64,23 +71,21 @@ def normalize_label(raw: str) -> str:
     return label
 
 
-@dataclass(frozen=True, order=True)
-class JobKey:
+class JobKey(NamedTuple):
     """A job identity across organizations: (title, industry)."""
 
     title: str
     industry: str
 
 
-@dataclass(frozen=True, order=True)
-class OrgJobKey:
+class OrgJobKey(NamedTuple):
     """A job identity within one organization: (title, organization)."""
 
     title: str
     organization: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobRecord:
     """One employment stint. ``end is None`` means the job is still held.
 
@@ -95,6 +100,13 @@ class JobRecord:
     industry: str
     start: DateMonth
     end: DateMonth | None = None
+    key: JobKey = field(init=False, repr=False, compare=False)
+    org_key: OrgJobKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Built once here (and again by dataclasses.replace), not per access.
+        object.__setattr__(self, "key", JobKey(self.title, self.industry))
+        object.__setattr__(self, "org_key", OrgJobKey(self.title, self.organization))
 
     def end_or(self, curr_date: DateMonth) -> DateMonth:
         """The stint's end, with an open end resolved to the analysis date."""
@@ -103,16 +115,8 @@ class JobRecord:
     def has_valid_period(self, curr_date: DateMonth) -> bool:
         return months_between(self.start, self.end_or(curr_date)) >= 0
 
-    @property
-    def key(self) -> JobKey:
-        return JobKey(self.title, self.industry)
 
-    @property
-    def org_key(self) -> OrgJobKey:
-        return OrgJobKey(self.title, self.organization)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserProfile:
     """One person's education summary, skills, and ordered job records."""
 
@@ -148,11 +152,13 @@ def usable_jobs(
     """
     if drops is None:
         drops = StintDrops()
+    now = curr_date.ordinal
     kept = []
     for j in profile.jobs:
-        if months_between(j.start, curr_date) < 0:
+        start = j.start.ordinal
+        if start > now:
             drops.future_jobs += 1
-        elif not j.has_valid_period(curr_date):
+        elif (now if j.end is None else j.end.ordinal) < start:
             drops.invalid_period_jobs += 1
         else:
             kept.append(j)

@@ -4,6 +4,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from talentflow.graphalgo import Direction, degree_centrality, top_k, weighted_pagerank
 from talentflow.hopgraph import (
     ExportFormat,
     GraphLevel,
@@ -244,6 +245,30 @@ def test_dot_and_graphml_wellformed(tmp_path):
     ns = "{http://graphml.graphdrawing.org/xmlns}"
     assert len(root.findall(f"{ns}graph/{ns}node")) == len(g.nodes)
     assert len(root.findall(f"{ns}graph/{ns}edge")) == len(g.edges)
+
+
+def test_job_nodes_order_by_title_then_industry(tmp_path):
+    # Tuple order, not the order of the rendered 'title | industry' labels,
+    # which would put "analyst ii | fin" before "analyst | fin".
+    a, b, c = JobKey("analyst", "fin"), JobKey("analyst", "tech"), JobKey("analyst ii", "fin")
+    cycle = [
+        hop("analyst", "x", "fin", "analyst ii", "x", "fin"),
+        hop("analyst ii", "x", "fin", "analyst", "y", "tech"),
+        hop("analyst", "y", "tech", "analyst", "z", "fin"),
+    ]
+    g = build_graph(cycle, GraphLevel.JOB, CFG1)
+    assert g.sorted_nodes() == [a, b, c]
+    assert [e for e, _ in g.sorted_edges()] == [(a, c), (b, a), (c, b)]
+    for table in (degree_centrality(g, Direction.IN), weighted_pagerank(g, CFG1)):
+        assert len(set(table.scores.values())) == 1
+        assert top_k(table, 3) == [a, b, c]
+    path = export_graph(g, ExportFormat.CSV_EDGELIST, tmp_path / "g.csv")
+    assert path.read_text() == (
+        "src,dst,weight\n"
+        "analyst | fin,analyst ii | fin,1\n"
+        "analyst | tech,analyst | fin,1\n"
+        "analyst ii | fin,analyst | tech,1\n"
+    )
 
 
 def test_import_rejects_bad_header(tmp_path):

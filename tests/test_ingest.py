@@ -5,11 +5,12 @@ import pytest
 from talentflow.ingest import (
     REASON_DUPLICATE_ID,
     REASON_MALFORMED,
+    IngestReport,
     filter_active,
     ingest_profiles,
     parse_profile_line,
 )
-from helpers import dm, profile
+from helpers import dm, job, profile
 
 
 def record(user_id="u1", grad="2010-06", education=1, skills=("python",), jobs=None):
@@ -162,6 +163,39 @@ def test_bad_job_date_rejects_record(tmp_path):
     profiles, report = ingest_profiles(path)
     assert profiles == []
     assert report.rejection_reasons == {REASON_MALFORMED: 1}
+
+
+def test_one_object_per_label_and_date_within_a_call(tmp_path):
+    def j(title, org, industry, start):
+        return {"title": title, "organization": org, "industry": industry,
+                "start": start, "end": None}
+
+    rows = [
+        record("u1", skills=["Python"], jobs=[j("Data  Analyst", "ACME", "Tech", "2010-07")]),
+        record("u2", skills=[" python"], jobs=[j(" data analyst ", "acme", "tech", "2010-07")]),
+        "{not json",
+        record("u1"),
+        record("u3", skills=["python"], jobs=[j("data analyst", "Acme", "Finance", "2010-07")]),
+    ]
+    profiles, report = ingest_profiles(write_corpus(tmp_path, rows))
+
+    expected_job = job("data analyst", "acme", "tech", "2010-07")
+    assert profiles == [
+        profile(uid, grad="2010-06", skills=("python",), jobs=[expected_job])
+        for uid in ("u1", "u2", "u3")
+    ]
+    assert report == IngestReport(
+        total_records=5, active_records=3, inactive_records=0, rejected_records=2,
+        rejection_reasons={REASON_MALFORMED: 1, REASON_DUPLICATE_ID: 1},
+        industry_repairs=1,
+    )
+    a, b, c = (p.jobs[0] for p in profiles)
+    assert a.title is b.title is c.title
+    assert a.organization is b.organization is c.organization
+    assert a.industry is b.industry is c.industry  # c's was repaired
+    assert a.start is b.start is c.start
+    assert profiles[0].grad_date is profiles[2].grad_date
+    assert next(iter(profiles[0].skills)) is next(iter(profiles[1].skills))
 
 
 def test_blank_skills_dropped():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from talentflow.model import (
     DateMonth,
     InvalidLabelError,
     JobKey,
+    OrgJobKey,
     months_between,
     normalize_label,
 )
@@ -36,6 +38,14 @@ def test_months_between_additive(a, b, c):
 @given(date_months, date_months)
 def test_months_between_antisymmetric(a, b):
     assert months_between(a, b) == -months_between(b, a)
+
+
+@given(date_months, date_months)
+def test_months_between_is_calendar_arithmetic(a, b):
+    # Any g(b) - g(a) is additive and antisymmetric; this pins g to the calendar.
+    assert months_between(a, b) == (b.year - a.year) * 12 + (b.month - a.month)
+    assert (a < b) == (a.ordinal < b.ordinal)
+    assert (a == b) == (a.ordinal == b.ordinal)
 
 
 def test_date_ordering():
@@ -89,6 +99,18 @@ def test_job_key_accessors():
     j = job("engineer", "acme", "tech", "2010-01", "2012-01")
     assert j.key == JobKey("engineer", "tech")
     assert j.org_key.organization == "acme"
+
+
+def test_stored_keys_are_built_once_and_follow_replace():
+    j = job("engineer", "acme", "tech", "2010-01", "2012-01")
+    assert j.key == JobKey("engineer", "tech")
+    assert j.org_key == OrgJobKey("engineer", "acme")
+    assert j.key is j.key and j.org_key is j.org_key
+    # What industry repair at ingest does: the stored keys must not go stale.
+    repaired = replace(j, industry="finance")
+    assert repaired.key == JobKey("engineer", "finance")
+    assert replace(j, organization="globex").org_key == OrgJobKey("engineer", "globex")
+    assert j.key == JobKey("engineer", "tech")
 
 
 def test_open_end_resolution():
