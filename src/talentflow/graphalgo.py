@@ -8,7 +8,9 @@ weight, dangling nodes spread theirs uniformly, and a teleport probability
 the flow of talent is heading globally. Components come in strong (follow
 edge direction) and weak (ignore it) flavors. Centrality distributions are
 summarized as complementary CDFs and by a discrete maximum-likelihood
-power-law fit with a KS-minimizing tail cutoff.
+power-law fit with a KS-minimizing tail cutoff. The fit's Hurwitz zeta
+sums come from a numpy Euler-Maclaurin kernel, scaled by xmin^alpha so
+that steep tails cannot underflow; numpy is the only runtime dependency.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from itertools import count
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta
 
 from .hopgraph import HopGraph, NodeKey
 from .model import AnalysisConfig
@@ -267,14 +268,53 @@ class PowerLawFit:
     n_tail: int
 
 
+# Denominators (2k)!/B_2k of the Euler-Maclaurin corrections, as in Cephes.
+_EULER_MACLAURIN = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_KS_BLOCK_PAIRS = 1 << 16  # bounds the memory of fit_power_law's KS scan
+
+
+def _hurwitz_zeta_scaled(s: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """sum_k ((q + k) / m)^-s = m^s * zeta(s, q), elementwise, for s > 1, q >= 1.
+
+    Cephes' Euler-Maclaurin summation, the scheme of scipy.special.zeta:
+    the terms k = 0..9 directly, then the integral of the rest and twelve
+    Bernoulli corrections at w = q + 9. Those nine extra terms keep the
+    corrections accurate when s is large against q, as in a steep fit at a
+    small xmin (alpha can reach 2 xmin + 1). With m = xmin the terms of the
+    fit's sums are at most 1, so the normaliser never underflows.
+    """
+    total = 0.0
+    for k in range(10):
+        term = ((q + k) / m) ** -s
+        total = total + term
+    w = q + 9.0
+    total = total + term * w / (s - 1.0) - 0.5 * term
+    rising, deriv = 1.0, term
+    for i, denom in enumerate(_EULER_MACLAURIN):
+        rising = rising * (s + 2 * i)
+        deriv = deriv / w
+        total = total + rising * deriv / denom
+        rising = rising * (s + 2 * i + 1)
+        deriv = deriv / w
+    return total
+
+
 def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
     """Fit a discrete power law to positive integer values.
 
     alpha = 1 + n / sum(ln(x_i / (xmin - 1/2))) over the tail x_i >= xmin,
     with xmin chosen to minimize the KS distance between the empirical tail
-    CDF and the fitted zeta-normalized model. Candidates leaving fewer than
-    min_tail points, or a single-valued tail, are rejected; if none remain,
-    raises InsufficientTailError.
+    CDF and the fitted zeta-normalized model
+    P(X <= x) = 1 - zeta(alpha, x+1) / zeta(alpha, xmin). Both sums are taken
+    scaled by xmin^alpha (see _hurwitz_zeta_scaled), so a steep tail cannot
+    underflow the normaliser. Cutoffs are the distinct values in ascending
+    order, up to the first that leaves fewer than min_tail points; one with a
+    single-valued tail or alpha <= 1 is rejected, and on a KS tie the
+    smallest xmin wins. If no cutoff remains, raises InsufficientTailError.
     """
     xs = np.asarray(sorted(values), dtype=np.int64)
     if len(xs) == 0 or xs[0] < 1:
@@ -284,38 +324,48 @@ def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
 
     log_xs = np.log(xs.astype(np.float64))
     suffix_logsum = np.concatenate([np.cumsum(log_xs[::-1])[::-1], [0.0]])
-    distinct = np.unique(xs)
-
-    best: tuple[float, int, float, int] | None = None  # (ks, xmin, alpha, n_tail)
-    for xmin in distinct:
-        i = int(np.searchsorted(xs, xmin, side="left"))
-        n_tail = len(xs) - i
-        if n_tail < min_tail:
-            break
-        tail_values = distinct[distinct >= xmin]
-        if len(tail_values) < 2:
-            continue
-        denom = suffix_logsum[i] - n_tail * np.log(xmin - 0.5)
-        if denom <= 0:
-            continue
-        alpha = 1.0 + n_tail / denom
-        if alpha <= 1.0:
-            continue
-
-        # KS distance over the distinct tail values: empirical CDF vs the
-        # discrete model CDF  P(X <= x) = 1 - zeta(alpha, x+1)/zeta(alpha, xmin).
-        counts = np.searchsorted(xs, tail_values, side="right") - i
-        emp_cdf = counts / n_tail
-        norm = zeta(alpha, float(xmin))
-        model_cdf = 1.0 - zeta(alpha, tail_values.astype(np.float64) + 1.0) / norm
-        ks = float(np.max(np.abs(emp_cdf - model_cdf)))
-        if best is None or ks < best[0]:
-            best = (ks, int(xmin), float(alpha), n_tail)
-
-    if best is None:
+    first = _run_starts(xs)
+    distinct = xs[first]
+    n_tail = len(xs) - first
+    n_cut = min(int(np.count_nonzero(n_tail >= min_tail)), len(distinct) - 1)
+    cut = np.arange(n_cut)
+    denom = suffix_logsum[first[cut]] - n_tail[cut] * np.log(distinct[cut] - 0.5)
+    cut = cut[denom > 0]
+    alpha = 1.0 + n_tail[cut] / denom[cut]
+    cut, alpha = cut[alpha > 1.0], alpha[alpha > 1.0]
+    if len(cut) == 0:
         raise InsufficientTailError("no candidate cutoff leaves a fittable tail")
-    ks, xmin, alpha, n_tail = best
-    return PowerLawFit(alpha=alpha, xmin=xmin, ks_statistic=ks, n_tail=n_tail)
+
+    # KS distance per cutoff over the (cutoff, distinct tail value) triangle,
+    # a block of pairs at a time: empirical vs model CDF at each tail value.
+    xmin = distinct[cut].astype(np.float64)
+    norm = _hurwitz_zeta_scaled(alpha, xmin, xmin)
+    upto = np.append(first[1:], len(xs))
+    row_start = np.concatenate([[0], np.cumsum(len(distinct) - cut)])
+    n_pairs = int(row_start[-1])
+    ks = np.zeros(len(cut))
+    for lo in range(0, n_pairs, _KS_BLOCK_PAIRS):
+        pair = np.arange(lo, min(lo + _KS_BLOCK_PAIRS, n_pairs))
+        row = np.searchsorted(row_start, pair, side="right") - 1
+        j, t = cut[row], cut[row] + pair - row_start[row]
+        emp_cdf = (upto[t] - first[j]) / n_tail[j]
+        tail_sum = _hurwitz_zeta_scaled(alpha[row], distinct[t] + 1.0, xmin[row])
+        dev = np.abs(emp_cdf - (1.0 - tail_sum / norm[row]))
+        heads = _run_starts(row)
+        ks[row[heads]] = np.maximum(ks[row[heads]], np.maximum.reduceat(dev, heads))
+
+    best = int(np.argmin(ks))  # the first minimum: smallest xmin on ties
+    return PowerLawFit(
+        alpha=float(alpha[best]),
+        xmin=int(distinct[cut[best]]),
+        ks_statistic=float(ks[best]),
+        n_tail=int(n_tail[cut[best]]),
+    )
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Index of each distinct value's first occurrence in a sorted array."""
+    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
 
 
 def centrality_ccdf(table: CentralityTable) -> list[tuple[float, float]]:
@@ -328,9 +378,8 @@ def centrality_ccdf(table: CentralityTable) -> list[tuple[float, float]]:
         raise ValueError("ccdf of an empty score table")
     values = np.sort(np.array(list(table.scores.values()), dtype=np.float64))
     n = len(values)
-    distinct = np.unique(values)
-    at_least = n - np.searchsorted(values, distinct, side="left")
-    return [(float(v), float(c) / n) for v, c in zip(distinct, at_least)]
+    first = _run_starts(values)
+    return [(float(v), float(n - i) / n) for v, i in zip(values[first], first)]
 
 
 def top_k(table: CentralityTable, k: int) -> list[NodeKey]:

@@ -24,7 +24,7 @@ reported in IngestReport.industry_repairs.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -172,10 +172,10 @@ def _repair_industries(profiles: list[UserProfile], report: IngestReport) -> lis
 
     Majority industry per organization wins; ties break lexicographically.
     """
-    votes: dict[str, Counter[str]] = {}
+    votes: dict[str, Counter[str]] = defaultdict(Counter)
     for p in profiles:
         for j in p.jobs:
-            votes.setdefault(j.organization, Counter())[j.industry] += 1
+            votes[j.organization][j.industry] += 1
 
     canonical: dict[str, str] = {}
     for org, counter in votes.items():

@@ -300,26 +300,29 @@ class CohortStats:
         return sorted(self.cohorts.items(), key=lambda kv: kv[0])
 
 
-def _axis_value_months(
-    hop: Hop, axis: CohortAxis, index: CorpusIndex, profile: UserProfile
-) -> float | None:
-    if axis is CohortAxis.WORK_EXP:
-        wk = work_experience(profile, hop.source, index.config.curr_date)
-        return None if wk is None else float(wk)
-    if axis is CohortAxis.JOB_AGE:
-        return job_age_of_jobkey(hop.source.key, index)
-    return float(index.skill_count_by_user.get(hop.user_id, 0))
+def _bin_index(
+    hop: Hop,
+    axis: CohortAxis,
+    index: CorpusIndex,
+    profile: UserProfile,
+    age_bins: dict[JobKey, int | None],
+) -> int | None:
+    """k of the hop's bin [k*w, (k+1)*w) on one axis; None if undefined.
 
-
-def _bucket(value: float, axis: CohortAxis, width_years: int) -> CohortSpec:
-    # Time axes bucket by whole years; skill counts reuse the same width.
+    The time axes bin by w whole years; skill counts reuse the same width.
+    age_bins caches the job-age bin, which depends only on the source key.
+    """
+    width = index.config.group_bin_width_years
     if axis is CohortAxis.SKILL_COUNT:
-        width = width_years
-        k = int(value // width)
-        return CohortSpec(axis, float(k * width), float((k + 1) * width))
-    years = value / 12.0
-    k = int(years // width_years)
-    return CohortSpec(axis, float(k * width_years), float((k + 1) * width_years))
+        return int(index.skill_count_by_user.get(hop.user_id, 0) // width)
+    if axis is CohortAxis.WORK_EXP:
+        months = work_experience(profile, hop.source, index.config.curr_date)
+        return None if months is None else int((months / 12.0) // width)
+    key = hop.source.key
+    if key not in age_bins:
+        months = job_age_of_jobkey(key, index)
+        age_bins[key] = None if months is None else int((months / 12.0) // width)
+    return age_bins[key]
 
 
 def external_hop_fraction(
@@ -334,32 +337,30 @@ def external_hop_fraction(
     any requested axis are excluded. Cells whose event count falls below
     cohort_min_support carry fraction=None and suppressed=True.
     """
-    counts: dict[tuple[CohortSpec, ...], list[int]] = defaultdict(lambda: [0, 0])
-    width = index.config.group_bin_width_years
+    counts: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
+    age_bins: dict[JobKey, int | None] = {}
     for hop in hops:
         profile = profiles_by_id.get(hop.user_id)
         if profile is None:
             continue
-        specs = []
-        for axis in axes:
-            value = _axis_value_months(hop, axis, index, profile)
-            if value is None:
-                specs = None
-                break
-            specs.append(_bucket(value, axis, width))
-        if specs is None:
+        bins = tuple(_bin_index(hop, axis, index, profile, age_bins) for axis in axes)
+        if None in bins:
             continue
-        cell = counts[tuple(specs)]
+        cell = counts[bins]
         if hop.kind is HopKind.EXTERNAL:
             cell[0] += 1
         else:
             cell[1] += 1
 
     cohorts: dict[tuple[CohortSpec, ...], CohortCell] = {}
+    width = index.config.group_bin_width_years
     min_support = index.config.cohort_min_support
-    for key, (ext, internal) in counts.items():
+    for bins, (ext, internal) in counts.items():
         support = ext + internal
         suppressed = support < min_support
+        key = tuple(
+            CohortSpec(axis, float(k * width), float((k + 1) * width)) for axis, k in zip(axes, bins)
+        )
         cohorts[key] = CohortCell(
             external_hops=ext,
             internal_hops=internal,

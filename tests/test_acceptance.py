@@ -32,6 +32,7 @@ from talentflow.synthgen import GeneratorSpec, generate
 from helpers import config, dm, random_profile
 from test_graphalgo import (
     pagerank_dense_solve,
+    preferential_attachment_indegrees,
     random_graph,
     sample_discrete_power_law,
     scc_oracle,
@@ -144,18 +145,7 @@ def test_power_law_recovery():
 
     # Preferential attachment: each newcomer cites 2 nodes chosen with
     # probability proportional to in-degree + 1.
-    pa_rng = random.Random(55)
-    pool = [0]
-    indeg = {0: 0}
-    for v in range(1, 3000):
-        indeg[v] = 0
-        for _ in range(2):
-            u = pool[pa_rng.randrange(len(pool))]
-            indeg[u] += 1
-            pool.append(u)
-        pool.append(v)
-    degrees = [d for d in indeg.values() if d >= 1]
-    pa_fit = fit_power_law(degrees)
+    pa_fit = fit_power_law(preferential_attachment_indegrees())
     assert pa_fit.alpha > 2.0
     budget.check()
 

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import talentflow
 from talentflow.cli import main
 from talentflow.synthgen import GeneratorSpec, generate
 
@@ -212,3 +217,17 @@ def test_explicit_curr_date_honored(corpus, tmp_path):
     assert main(["hops", "--input", str(corpus), "--out", str(b),
                  "--curr-date", "2030-01"]) == 0
     assert a.read_bytes() == a.with_name('a2.csv').read_bytes()
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test-only oracle; report-all must not pay for importing it.
+    code = (
+        "import sys, talentflow, talentflow.cli, talentflow.reports; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(talentflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,15 +1,19 @@
+import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from talentflow import graphalgo
 from talentflow.graphalgo import (
     CentralityMetric,
     CentralityTable,
     ComponentMode,
     Direction,
     InsufficientTailError,
+    PowerLawFit,
     centrality_ccdf,
     component_report,
     connected_components,
@@ -317,6 +321,126 @@ def test_alpha_estimate_tightens_with_known_xmin():
     values = sample_discrete_power_law(3.0, 20000, rng)
     fit = fit_power_law(values.tolist())
     assert abs(fit.alpha - 3.0) <= 0.15
+
+
+def preferential_attachment_indegrees(n=3000, seed=55):
+    """In-degrees >= 1 when each newcomer cites 2 nodes with probability
+    proportional to in-degree + 1."""
+    rng = random.Random(seed)
+    pool = [0]
+    indeg = {0: 0}
+    for v in range(1, n):
+        indeg[v] = 0
+        for _ in range(2):
+            u = pool[rng.randrange(len(pool))]
+            indeg[u] += 1
+            pool.append(u)
+        pool.append(v)
+    return [d for d in indeg.values() if d >= 1]
+
+
+def reference_fit(values, min_tail=10):
+    """The per-cutoff loop over scipy.special.zeta that the batched scan replaced."""
+    zeta = pytest.importorskip("scipy.special").zeta
+    xs = np.asarray(sorted(values), dtype=np.int64)
+    log_xs = np.log(xs.astype(np.float64))
+    suffix_logsum = np.concatenate([np.cumsum(log_xs[::-1])[::-1], [0.0]])
+    distinct = np.unique(xs)
+    best = None
+    for xmin in distinct:
+        i = int(np.searchsorted(xs, xmin, side="left"))
+        n_tail = len(xs) - i
+        if n_tail < min_tail:
+            break
+        tail_values = distinct[distinct >= xmin]
+        if len(tail_values) < 2:
+            continue
+        denom = suffix_logsum[i] - n_tail * np.log(xmin - 0.5)
+        if denom <= 0:
+            continue
+        alpha = 1.0 + n_tail / denom
+        if alpha <= 1.0:
+            continue
+        counts = np.searchsorted(xs, tail_values, side="right") - i
+        model_cdf = 1.0 - zeta(alpha, tail_values.astype(np.float64) + 1.0) / zeta(alpha, float(xmin))
+        ks = float(np.max(np.abs(counts / n_tail - model_cdf)))
+        if best is None or ks < best[0]:
+            best = (ks, int(xmin), float(alpha), n_tail)
+    if best is None:
+        return None  # fit_power_law raises InsufficientTailError
+    ks, xmin, alpha, n_tail = best
+    return PowerLawFit(alpha=alpha, xmin=xmin, ks_statistic=ks, n_tail=n_tail)
+
+
+def assert_same_fit(fit, want, name=""):
+    assert (fit.xmin, fit.n_tail, fit.alpha) == (want.xmin, want.n_tail, want.alpha), name
+    assert abs(fit.ks_statistic - want.ks_statistic) <= 1e-12, name
+
+
+def test_zeta_kernel_matches_scipy():
+    zeta = pytest.importorskip("scipy.special").zeta
+    rng = np.random.default_rng(2009)
+    s = rng.uniform(1.001, 8.0, 5000)
+    q = np.exp(rng.uniform(0.0, math.log(1e7), 5000))
+    s_int = rng.uniform(1.001, 8.0, 200 * 20)
+    q_int = np.repeat(np.arange(1.0, 201.0), 20)
+    for ss, qq in ((s, q), (s_int, q_int)):
+        np.testing.assert_allclose(graphalgo._hurwitz_zeta_scaled(ss, qq, 1.0), zeta(ss, qq), rtol=1e-13)
+        # Scaled by some m <= q, as the fit scales by xmin <= every tail value.
+        m = np.minimum(qq, 0.5 + qq * rng.uniform(0.0, 1.0, len(qq)))
+        unscaled = zeta(ss, qq)
+        assert np.all(unscaled >= np.finfo(np.float64).tiny)
+        np.testing.assert_allclose(
+            graphalgo._hurwitz_zeta_scaled(ss, qq, m) / m**ss, unscaled, rtol=1e-13
+        )
+
+
+def fit_parity_inputs():
+    rng = np.random.default_rng(1000)
+    for alpha in (1.3, 1.8, 2.5, 3.2, 4.5):
+        for n in (50, 400, 5000):
+            yield f"power law alpha={alpha} n={n}", sample_discrete_power_law(alpha, n, rng).tolist()
+    yield "two-valued", [1] * 500 + [2] * 100
+    yield "two-valued, wide", [3] * 40 + [90] * 9
+    yield "steep at a small xmin", [9] * 200 + [10] * 3 + [11]
+    yield "preferential attachment", preferential_attachment_indegrees()
+
+
+@pytest.mark.parametrize("min_tail", [10, 3])
+def test_fit_matches_per_cutoff_scipy_loop(min_tail):
+    for name, values in fit_parity_inputs():
+        want = reference_fit(values, min_tail)
+        if want is None:
+            with pytest.raises(InsufficientTailError):
+                fit_power_law(values, min_tail)
+        else:
+            assert_same_fit(fit_power_law(values, min_tail), want, name)
+
+
+def test_fit_spanning_several_blocks_matches_per_cutoff_loop(monkeypatch):
+    values = sample_discrete_power_law(1.5, 400, np.random.default_rng(5)).tolist()
+    want = reference_fit(values)
+    monkeypatch.setattr(graphalgo, "_KS_BLOCK_PAIRS", 7)
+    assert_same_fit(fit_power_law(values), want)
+
+
+def test_ks_ties_go_to_the_smallest_xmin(monkeypatch):
+    # A model CDF of 0 everywhere puts every cutoff's KS at exactly 1.
+    monkeypatch.setattr(graphalgo, "_hurwitz_zeta_scaled", lambda s, q, m: np.ones(np.broadcast(s, q, m).shape))
+    fit = fit_power_law([1, 2, 3, 4, 5] * 4)
+    assert (fit.xmin, fit.n_tail, fit.ks_statistic) == (1, 20, 1.0)
+
+
+def test_steep_tail_does_not_underflow():
+    # Unscaled, zeta(alpha, xmin) underflows to subnormals on this input
+    # (1.2e-318 at xmin 19461, whose exact KS is 0.14765 by 40-digit mpmath),
+    # and the CDF ratios the scan compares lose their precision.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_power_law(list(range(1, 20000, 7)))
+    assert math.isfinite(fit.ks_statistic)
+    assert fit.ks_statistic < 0.1476
+    assert fit.n_tail >= 10
 
 
 # --- ccdf and top-k ---------------------------------------------------------------

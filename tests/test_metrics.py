@@ -443,3 +443,39 @@ def test_two_axis_cross_tabulation():
         assert specs[1].axis is CohortAxis.SKILL_COUNT
         assert cell.support == cell.external_hops + cell.internal_hops
     assert sum(c.support for c in stats.cohorts.values()) == len(hops)
+
+
+def test_cohort_cells_at_bin_edges():
+    # 60 months of work experience, a 60-month job age and 5 skills sit on
+    # the edge of [5, 10); one month and one skill less fall in [0, 5).
+    cfg = config("2016-06", cohort_min_support=1)
+
+    def hopper(uid, title, start, end, skills):
+        return profile(uid, grad="2008-06", skills=skills, jobs=[
+            job(title, "x", "i", start, end), job("t9", "y", "i", end, "2015-01"),
+        ])
+
+    profiles = [
+        hopper("edge", "t1", "2011-06", "2013-06", ("a", "b", "c", "d", "e")),
+        hopper("below", "t0", "2011-07", "2013-05", ("a", "b", "c", "d")),
+    ]
+    hops, _ = extract_all_hops(profiles, cfg)
+    index = CorpusIndex.build(profiles, cfg)
+    by_id = {p.user_id: p for p in profiles}
+
+    def cells(axes):
+        stats = external_hop_fraction(hops, axes, index, by_id)
+        return {
+            tuple((s.axis, s.bin_lower, s.bin_upper) for s in key): cell.external_hops
+            for key, cell in stats.cohorts.items()
+        }
+
+    w, a, k = CohortAxis.WORK_EXP, CohortAxis.JOB_AGE, CohortAxis.SKILL_COUNT
+    assert cells([w, k]) == {
+        ((w, 5.0, 10.0), (k, 5.0, 10.0)): 1,
+        ((w, 0.0, 5.0), (k, 0.0, 5.0)): 1,
+    }
+    assert cells([a, w]) == {
+        ((a, 5.0, 10.0), (w, 5.0, 10.0)): 1,
+        ((a, 0.0, 5.0), (w, 0.0, 5.0)): 1,
+    }
