@@ -11,13 +11,18 @@ summarized as complementary CDFs and by a discrete maximum-likelihood
 power-law fit with a KS-minimizing tail cutoff. The fit's Hurwitz zeta
 sums come from a numpy Euler-Maclaurin kernel, scaled by xmin^alpha so
 that steep tails cannot underflow; numpy is the only runtime dependency.
+
+Every analytic reads the integer index a HopGraph computes once when it is
+built (hopgraph.GraphIndex): degrees are bincounts over its edge ids,
+PageRank iterates over its id arrays, components walk a CSR adjacency over
+node ids, and rankings are a stable argsort over the node ids, which are
+already in sorted node order. None of them sorts or re-keys the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -52,21 +57,31 @@ class CentralityTable:
     iterations: int = 0
 
 
-def _make_ranking(scores: dict[NodeKey, float]) -> tuple[NodeKey, ...]:
-    return tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))  # ties stay in node order
+def _table(
+    metric: CentralityMetric, graph: HopGraph, values: np.ndarray,
+    converged: bool = True, iterations: int = 0,
+) -> CentralityTable:
+    """A table of per-node-id values; the stable sort keeps ties in node order."""
+    nodes = graph.index.nodes
+    scores = values.tolist()
+    order = sorted(range(len(nodes)), key=scores.__getitem__, reverse=True)
+    return CentralityTable(
+        metric=metric,
+        scores=dict(zip(nodes, scores)),
+        ranking=tuple(map(nodes.__getitem__, order)),
+        converged=converged,
+        iterations=iterations,
+    )
 
 
 def degree_centrality(graph: HopGraph, direction: Direction) -> CentralityTable:
     """Distinct in- or out-neighbor counts; a self-loop counts once each way."""
-    neighbors: dict[NodeKey, set[NodeKey]] = {n: set() for n in graph.nodes}
-    for u, v in graph.edges:
-        if direction is Direction.IN:
-            neighbors[v].add(u)
-        else:
-            neighbors[u].add(v)
-    scores = {n: float(len(s)) for n, s in neighbors.items()}
+    idx = graph.index
+    ends = idx.dst if direction is Direction.IN else idx.src
+    # Edges are distinct (u, v) pairs, so counting ends counts neighbors.
+    degree = np.bincount(ends, minlength=len(idx.nodes)).astype(np.float64)
     metric = CentralityMetric.IN_DEGREE if direction is Direction.IN else CentralityMetric.OUT_DEGREE
-    return CentralityTable(metric=metric, scores=scores, ranking=_make_ranking(scores))
+    return _table(metric, graph, degree)
 
 
 def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTable:
@@ -78,29 +93,22 @@ def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTabl
     jump with probability config.teleport_prob. Iterates until the L1 change
     drops below config.pagerank_tol or max_iter is hit (converged=False).
     """
-    nodes = graph.sorted_nodes()
-    n = len(nodes)
+    idx = graph.index
+    n = len(idx.nodes)
     if n == 0:
         raise ValueError("pagerank needs at least one node")
-    index = {node: i for i, node in enumerate(nodes)}
-
-    edges = graph.sorted_edges()
-    src = np.array([index[u] for (u, _), _ in edges], dtype=np.int64)
-    dst = np.array([index[v] for (_, v), _ in edges], dtype=np.int64)
-    w = np.array([weight for _, weight in edges], dtype=np.float64)
-
-    out_weight = np.zeros(n)
-    if len(edges):
-        np.add.at(out_weight, src, w)
+    src, dst = idx.src, idx.dst
+    w = idx.weight.astype(np.float64)
+    out_weight = np.bincount(src, weights=w, minlength=n)
     dangling = out_weight == 0.0
-    prob = w / out_weight[src] if len(edges) else w
+    prob = w / out_weight[src]
 
     teleport = config.teleport_prob
     rank = np.full(n, 1.0 / n)
     iterations = 0
     converged = False
     for iterations in range(1, config.pagerank_max_iter + 1):
-        flow = np.bincount(dst, weights=prob * rank[src], minlength=n) if len(edges) else np.zeros(n)
+        flow = np.bincount(dst, weights=prob * rank[src], minlength=n)
         dangling_mass = rank[dangling].sum()
         new_rank = (1.0 - teleport) * (flow + dangling_mass / n) + teleport / n
         delta = np.abs(new_rank - rank).sum()
@@ -109,61 +117,58 @@ def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTabl
             converged = True
             break
     rank = rank / rank.sum()
-
-    scores = {node: float(rank[i]) for node, i in index.items()}
-    return CentralityTable(
-        metric=CentralityMetric.PAGERANK,
-        scores=scores,
-        ranking=_make_ranking(scores),
-        converged=converged,
-        iterations=iterations,
-    )
+    return _table(CentralityMetric.PAGERANK, graph, rank, converged, iterations)
 
 
-def _undirected_adjacency(graph: HopGraph) -> dict[NodeKey, list[NodeKey]]:
-    adj: dict[NodeKey, set[NodeKey]] = {n: set() for n in graph.nodes}
-    for u, v in graph.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {n: sorted(s) for n, s in adj.items()}
+def _adjacency(graph: HopGraph, mode: ComponentMode) -> tuple[list[int], list[int]]:
+    """CSR adjacency over node ids: v's neighbors are nbrs[start[v]:start[v + 1]].
+
+    Strong mode follows edge direction; weak mode also adds every edge
+    reversed.
+    """
+    idx = graph.index
+    src, dst = idx.src, idx.dst  # already in source order
+    if mode is ComponentMode.WEAK:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        order = np.argsort(src)
+        src, dst = src[order], dst[order]
+    start = np.zeros(len(idx.nodes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=len(idx.nodes)), out=start[1:])
+    return start.tolist(), dst.tolist()
 
 
-def _directed_adjacency(graph: HopGraph) -> dict[NodeKey, list[NodeKey]]:
-    adj: dict[NodeKey, set[NodeKey]] = {n: set() for n in graph.nodes}
-    for u, v in graph.edges:
-        adj[u].add(v)
-    return {n: sorted(s) for n, s in adj.items()}
-
-
-def _strongly_connected(nodes: list[NodeKey], adj: dict[NodeKey, list[NodeKey]]) -> list[list[NodeKey]]:
+def _strongly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
     # Tarjan, iterative: the job graph can be deep enough to blow the
     # recursion limit on long career chains.
-    order = count()
-    index: dict[NodeKey, int] = {}
-    lowlink: dict[NodeKey, int] = {}
-    stack: list[NodeKey] = []
-    on_stack: set[NodeKey] = set()
-    components: list[list[NodeKey]] = []
+    n = len(start) - 1
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    order = 0
 
-    for root in nodes:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = lowlink[root] = next(order)
+        index[root] = lowlink[root] = order
+        order += 1
         stack.append(root)
-        on_stack.add(root)
-        frames = [(root, iter(adj[root]))]
+        on_stack[root] = True
+        frames = [(root, iter(nbrs[start[root]:start[root + 1]]))]
         while frames:
             v, it = frames[-1]
             advanced = False
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = lowlink[nxt] = next(order)
+                if index[nxt] < 0:
+                    index[nxt] = lowlink[nxt] = order
+                    order += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    frames.append((nxt, iter(adj[nxt])))
+                    on_stack[nxt] = True
+                    frames.append((nxt, iter(nbrs[start[nxt]:start[nxt + 1]])))
                     advanced = True
                     break
-                if nxt in on_stack:
+                if on_stack[nxt]:
                     lowlink[v] = min(lowlink[v], index[nxt])
             if advanced:
                 continue
@@ -175,7 +180,7 @@ def _strongly_connected(nodes: list[NodeKey], adj: dict[NodeKey, list[NodeKey]])
                 comp = []
                 while True:
                     node = stack.pop()
-                    on_stack.discard(node)
+                    on_stack[node] = False
                     comp.append(node)
                     if node == v:
                         break
@@ -183,21 +188,21 @@ def _strongly_connected(nodes: list[NodeKey], adj: dict[NodeKey, list[NodeKey]])
     return components
 
 
-def _weakly_connected(nodes: list[NodeKey], adj: dict[NodeKey, list[NodeKey]]) -> list[list[NodeKey]]:
-    seen: set[NodeKey] = set()
+def _weakly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
+    seen = [False] * (len(start) - 1)
     components = []
-    for root in nodes:
-        if root in seen:
+    for root in range(len(seen)):
+        if seen[root]:
             continue
         comp = []
         queue = [root]
-        seen.add(root)
+        seen[root] = True
         while queue:
             v = queue.pop()
             comp.append(v)
-            for nxt in adj[v]:
-                if nxt not in seen:
-                    seen.add(nxt)
+            for nxt in nbrs[start[v]:start[v + 1]]:
+                if not seen[nxt]:
+                    seen[nxt] = True
                     queue.append(nxt)
         components.append(comp)
     return components
@@ -208,16 +213,18 @@ class ComponentMode(str, Enum):
     WEAK = "weak"
 
 
+def _components(graph: HopGraph, mode: ComponentMode) -> list[list[int]]:
+    """The component partition as lists of node ids, in no set order."""
+    find = _strongly_connected if mode is ComponentMode.STRONG else _weakly_connected
+    return find(*_adjacency(graph, mode))
+
+
 def connected_components(graph: HopGraph, mode: ComponentMode) -> list[list[NodeKey]]:
     """The component partition, largest first, nodes sorted within each."""
-    nodes = graph.sorted_nodes()
-    if mode is ComponentMode.STRONG:
-        comps = _strongly_connected(nodes, _directed_adjacency(graph))
-    else:
-        comps = _weakly_connected(nodes, _undirected_adjacency(graph))
-    comps = sorted(sorted(c) for c in comps)  # disjoint, so by first node
-    comps.sort(key=len, reverse=True)
-    return comps
+    comps = [sorted(c) for c in _components(graph, mode)]
+    comps.sort(key=lambda c: (-len(c), c[0]))  # disjoint, so ties go by first node
+    nodes = graph.index.nodes
+    return [[nodes[i] for i in c] for c in comps]
 
 
 @dataclass(frozen=True)
@@ -236,22 +243,16 @@ class ComponentReport:
 
 def component_report(graph: HopGraph) -> ComponentReport:
     n = len(graph.nodes)
-    sccs = connected_components(graph, ComponentMode.STRONG)
-    wccs = connected_components(graph, ComponentMode.WEAK)
-
-    def top2(comps: list[list[NodeKey]]) -> tuple[int, int]:
-        first = len(comps[0]) if comps else 0
-        second = len(comps[1]) if len(comps) > 1 else 0
-        return first, second
-
-    scc1, scc2 = top2(sccs)
-    wcc1, wcc2 = top2(wccs)
+    scc = sorted(map(len, _components(graph, ComponentMode.STRONG)), reverse=True)
+    wcc = sorted(map(len, _components(graph, ComponentMode.WEAK)), reverse=True)
+    scc1, scc2 = (scc + [0, 0])[:2]
+    wcc1, wcc2 = (wcc + [0, 0])[:2]
     return ComponentReport(
-        scc_count=len(sccs),
+        scc_count=len(scc),
         largest_scc_size=scc1,
         largest_scc_fraction=scc1 / n if n else 0.0,
         second_scc_size=scc2,
-        wcc_count=len(wccs),
+        wcc_count=len(wcc),
         largest_wcc_size=wcc1,
         largest_wcc_fraction=wcc1 / n if n else 0.0,
         second_wcc_size=wcc2,

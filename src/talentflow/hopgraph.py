@@ -12,17 +12,27 @@ Node support is the number of distinct user profiles with a usable stint
 (see usable_jobs) in the node's job or organization -- a property of the
 corpus, not of the graph -- so pruning under-support nodes is a single
 pass: removing a neighbor can never invalidate a surviving node.
+
+A HopGraph is frozen. It computes one integer index (GraphIndex) when it
+is constructed: the node keys in sorted order, and the edges as integer
+source and target node ids with their weights, in (source, target) order.
+Every analytic in graphalgo and every export reads that index, so none
+sorts or re-keys the graph again; exports render each node label once.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 from xml.sax.saxutils import quoteattr
+
+import numpy as np
 
 from .hops import Hop, HopKind
 from .model import AnalysisConfig, JobKey, UserProfile, usable_jobs
@@ -44,9 +54,19 @@ class ExportFormat(str, Enum):
 
 
 def node_to_str(node: NodeKey) -> str:
-    """Render a node for exports: 'title | industry' at job level."""
+    """Render a node for exports: 'title | industry' at job level.
+
+    Raises ValueError for a job node that node_from_str could not read
+    back, one whose industry contains ' | ' (or starts with '| ').
+    """
     if isinstance(node, JobKey):
-        return f"{node.title}{_JOB_NODE_SEP}{node.industry}"
+        text = f"{node.title}{_JOB_NODE_SEP}{node.industry}"
+        if text.rpartition(_JOB_NODE_SEP)[2] != node.industry:
+            raise ValueError(
+                f"job node label {text!r} does not read back: its industry "
+                f"{node.industry!r} runs into the separator {_JOB_NODE_SEP!r}"
+            )
+        return text
     return node
 
 
@@ -60,14 +80,61 @@ def node_from_str(text: str, level: GraphLevel) -> NodeKey:
     return JobKey(title, industry)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
+class GraphIndex:
+    """A graph as integers, computed once when the graph is built.
+
+    Node ids are positions in nodes, the node keys in sorted order. Edge i
+    runs from node src[i] to node dst[i] with weight weight[i]; edges are
+    in (src, dst) order, which is the sorted order of their keys, and
+    edges[i] is the key of edge i. The arrays are read-only.
+    """
+
+    nodes: tuple[NodeKey, ...]
+    edges: tuple[tuple[NodeKey, NodeKey], ...]
+    src: np.ndarray  # intp, numpy's index type: PageRank indexes with it each iteration
+    dst: np.ndarray  # intp
+    weight: np.ndarray  # int64
+
+    @classmethod
+    def of(
+        cls, nodes: Iterable[NodeKey], edges: dict[tuple[NodeKey, NodeKey], int]
+    ) -> "GraphIndex":
+        order = tuple(sorted(nodes))
+        ids = dict(zip(order, range(len(order))))
+        keys = list(edges)
+        try:
+            src = np.fromiter(map(ids.__getitem__, map(itemgetter(0), keys)), np.intp, len(keys))
+            dst = np.fromiter(map(ids.__getitem__, map(itemgetter(1), keys)), np.intp, len(keys))
+        except KeyError as exc:
+            raise ValueError(f"edge endpoint is not a node: {exc.args[0]!r}") from None
+        weight = np.fromiter(edges.values(), np.int64, len(keys))
+        perm = np.argsort(src * len(order) + dst)
+        arrays = src[perm], dst[perm], weight[perm]
+        for a in arrays:
+            a.flags.writeable = False
+        return cls(order, tuple(map(keys.__getitem__, perm.tolist())), *arrays)
+
+
+@dataclass(frozen=True)
 class HopGraph:
-    """A built graph: immutable by convention once constructed."""
+    """A built graph, frozen, with its integer index (see GraphIndex).
+
+    The node set is stored as a frozenset; node_support and edges must not
+    be mutated, because every analytic and export reads the index computed
+    from them at construction. An edge whose endpoint is not a node raises
+    ValueError.
+    """
 
     level: GraphLevel
-    nodes: set[NodeKey]
+    nodes: frozenset[NodeKey]
     node_support: dict[NodeKey, int]
     edges: dict[tuple[NodeKey, NodeKey], int]
+    index: GraphIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "index", GraphIndex.of(self.nodes, self.edges))
 
     @property
     def self_loop_mass(self) -> int:
@@ -83,18 +150,15 @@ class HopGraph:
         return len(self.edges) / (n * n) if n else 0.0
 
     def sorted_nodes(self) -> list[NodeKey]:
-        return sorted(self.nodes)
+        return list(self.index.nodes)
 
     def sorted_edges(self) -> list[tuple[tuple[NodeKey, NodeKey], int]]:
-        return sorted(self.edges.items())
+        return list(_weighted_edges(self))
 
 
-def _hop_endpoints(hop: Hop, level: GraphLevel) -> tuple[NodeKey, NodeKey] | None:
-    if level is GraphLevel.ORG:
-        if hop.kind is not HopKind.EXTERNAL:
-            return None
-        return hop.source.organization, hop.dest.organization
-    return hop.source.key, hop.dest.key
+def _weighted_edges(graph: HopGraph) -> Iterator[tuple[tuple[NodeKey, NodeKey], int]]:
+    """(edge, weight) pairs in index order, without building a list."""
+    return zip(graph.index.edges, map(graph.edges.__getitem__, graph.index.edges))
 
 
 def build_graph(
@@ -113,50 +177,52 @@ def build_graph(
     at the node across the hops. Nodes under min_support are removed, then
     edges with a missing endpoint -- one pass, no cascade.
     """
-    weights: dict[tuple[NodeKey, NodeKey], int] = defaultdict(int)
-    edge_users: dict[tuple[NodeKey, NodeKey], set[str]] = defaultdict(set)
-    holders: dict[NodeKey, set[str]] = defaultdict(set)
-    nodes: set[NodeKey] = set()
-
-    for hop in hops:
-        endpoints = _hop_endpoints(hop, level)
-        if endpoints is None:
-            continue
-        u, v = endpoints
-        nodes.add(u)
-        nodes.add(v)
-        if profiles is None:
-            holders[u].add(hop.user_id)
-            holders[v].add(hop.user_id)
-        if distinct_users:
-            edge_users[(u, v)].add(hop.user_id)
-        else:
-            weights[(u, v)] += 1
+    if level is GraphLevel.ORG:
+        attr = "organization"
+        hops = [h for h in hops if h.kind is HopKind.EXTERNAL]
+    else:
+        attr = "key"
+        hops = list(hops)
+    ends = (f"source.{attr}", f"dest.{attr}")
     if distinct_users:
-        weights = {e: len(users) for e, users in edge_users.items()}
+        moves = dict.fromkeys(map(attrgetter(*ends, "user_id"), hops))
+        weights = Counter(map(itemgetter(0, 1), moves))
+    else:
+        weights = Counter(map(attrgetter(*ends), hops))
+    nodes = set(chain.from_iterable(weights))
 
-    if profiles is not None:
+    holders: dict[NodeKey, set[str]] = defaultdict(set)
+    if profiles is None:
+        for u, v, user in map(attrgetter(*ends, "user_id"), hops):
+            holders[u].add(user)
+            holders[v].add(user)
+    else:
+        node_of = attrgetter(attr)
         for p in profiles:
             for j in usable_jobs(p, config.curr_date):
-                key: NodeKey = j.organization if level is GraphLevel.ORG else j.key
-                holders[key].add(p.user_id)
+                holders[node_of(j)].add(p.user_id)
     support = {n: len(holders.get(n, ())) for n in nodes}
 
-    kept = {n for n in nodes if support[n] >= config.min_support}
+    kept = frozenset(n for n in nodes if support[n] >= config.min_support)
     return HopGraph(
         level=level,
         nodes=kept,
         node_support={n: support[n] for n in kept},
-        edges={(u, v): w for (u, v), w in weights.items() if u in kept and v in kept},
+        edges={e: w for e, w in weights.items() if e[0] in kept and e[1] in kept},
     )
 
 
+def _labels(graph: HopGraph, quote: Callable[[str], str]) -> dict[NodeKey, str]:
+    """Each node's export label, rendered and quoted once."""
+    return {n: quote(node_to_str(n)) for n in graph.index.nodes}
+
+
 def _write_csv(graph: HopGraph, path: Path) -> None:
+    label = _labels(graph, str)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["src", "dst", "weight"])
-        for (u, v), w in graph.sorted_edges():
-            writer.writerow([node_to_str(u), node_to_str(v), w])
+        writer.writerows([label[u], label[v], w] for (u, v), w in _weighted_edges(graph))
 
 
 def _dot_quote(text: str) -> str:
@@ -164,40 +230,37 @@ def _dot_quote(text: str) -> str:
 
 
 def _write_dot(graph: HopGraph, path: Path) -> None:
-    lines = ["digraph talentflow {"]
-    for n in graph.sorted_nodes():
-        lines.append(f"  {_dot_quote(node_to_str(n))};")
-    for (u, v), w in graph.sorted_edges():
-        lines.append(
-            f"  {_dot_quote(node_to_str(u))} -> {_dot_quote(node_to_str(v))} [weight={w}];"
+    label = _labels(graph, _dot_quote)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("digraph talentflow {\n")
+        fh.writelines(f"  {label[n]};\n" for n in graph.index.nodes)
+        fh.writelines(
+            f"  {label[u]} -> {label[v]} [weight={w}];\n" for (u, v), w in _weighted_edges(graph)
         )
-    lines.append("}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fh.write("}\n")
 
 
 def _write_graphml(graph: HopGraph, path: Path) -> None:
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
-        '  <key id="support" for="node" attr.name="support" attr.type="int"/>',
-        '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>',
-        '  <graph edgedefault="directed">',
-    ]
-    for n in graph.sorted_nodes():
-        label = node_to_str(n)
-        support = graph.node_support.get(n, 0)
-        lines.append(
-            f"    <node id={quoteattr(label)}>"
-            f'<data key="support">{support}</data></node>'
+    label = _labels(graph, quoteattr)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
+            '  <key id="support" for="node" attr.name="support" attr.type="int"/>\n'
+            '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>\n'
+            '  <graph edgedefault="directed">\n'
         )
-    for (u, v), w in graph.sorted_edges():
-        lines.append(
-            f"    <edge source={quoteattr(node_to_str(u))} "
-            f"target={quoteattr(node_to_str(v))}>"
-            f'<data key="weight">{w}</data></edge>'
+        fh.writelines(
+            f"    <node id={label[n]}>"
+            f'<data key="support">{graph.node_support.get(n, 0)}</data></node>\n'
+            for n in graph.index.nodes
         )
-    lines.extend(["  </graph>", "</graphml>"])
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        fh.writelines(
+            f"    <edge source={label[u]} target={label[v]}>"
+            f'<data key="weight">{w}</data></edge>\n'
+            for (u, v), w in _weighted_edges(graph)
+        )
+        fh.write("  </graph>\n</graphml>\n")
 
 
 def export_graph(graph: HopGraph, fmt: ExportFormat, path: str | Path) -> Path:
@@ -217,10 +280,10 @@ def import_graph_csv(path: str | Path, level: GraphLevel) -> HopGraph:
 
     Node support is a corpus property and is not serialized in edge lists;
     imported graphs carry an empty support map, and their node set is the
-    set of edge endpoints.
+    set of edge endpoints. A repeated (src, dst) row or a weight below 1
+    raises ValueError: export_graph writes neither.
     """
     edges: dict[tuple[NodeKey, NodeKey], int] = {}
-    nodes: set[NodeKey] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -229,9 +292,12 @@ def import_graph_csv(path: str | Path, level: GraphLevel) -> HopGraph:
         for row in reader:
             if len(row) != 3:
                 raise ValueError(f"bad edge row: {row!r}")
-            u = node_from_str(row[0], level)
-            v = node_from_str(row[1], level)
-            edges[(u, v)] = int(row[2])
-            nodes.add(u)
-            nodes.add(v)
+            edge = (node_from_str(row[0], level), node_from_str(row[1], level))
+            weight = int(row[2])
+            if weight < 1:
+                raise ValueError(f"edge weight must be positive: {row!r}")
+            if edge in edges:
+                raise ValueError(f"repeated edge: {row!r}")
+            edges[edge] = weight
+    nodes = set(chain.from_iterable(edges))
     return HopGraph(level=level, nodes=nodes, node_support={}, edges=edges)

@@ -1,0 +1,377 @@
+"""The indexed graph analytics and exports against dict-based references.
+
+The reference functions below are the key-typed implementations that the
+integer index (hopgraph.GraphIndex) replaced: each builds its own view of
+the graph from HopGraph.nodes and HopGraph.edges. The indexed versions
+must agree with them exactly -- the same floats, rankings, iteration
+counts, component lists and export bytes.
+"""
+
+import csv
+import os
+import random
+import subprocess
+import sys
+from itertools import count
+from pathlib import Path
+from xml.sax.saxutils import quoteattr
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import talentflow
+from talentflow.graphalgo import (
+    CentralityMetric,
+    ComponentMode,
+    Direction,
+    component_report,
+    connected_components,
+    degree_centrality,
+    weighted_pagerank,
+)
+from talentflow.hopgraph import ExportFormat, GraphLevel, HopGraph, export_graph
+from talentflow.model import JobKey
+from helpers import config
+
+CFG = config("2016-06", min_support=1)
+FEW_ITERATIONS = config("2016-06", min_support=1, pagerank_max_iter=3)
+
+
+# --- reference implementations ---------------------------------------------
+
+def reference_ranking(scores):
+    return tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))
+
+
+def reference_degree(graph, direction):
+    neighbors = {n: set() for n in graph.nodes}
+    for u, v in graph.edges:
+        if direction is Direction.IN:
+            neighbors[v].add(u)
+        else:
+            neighbors[u].add(v)
+    scores = {n: float(len(s)) for n, s in neighbors.items()}
+    return scores, reference_ranking(scores)
+
+
+def reference_pagerank(graph, cfg):
+    nodes = sorted(graph.nodes)
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    edges = sorted(graph.edges.items())
+    src = np.array([index[u] for (u, _), _ in edges], dtype=np.int64)
+    dst = np.array([index[v] for (_, v), _ in edges], dtype=np.int64)
+    w = np.array([weight for _, weight in edges], dtype=np.float64)
+    out_weight = np.zeros(n)
+    if len(edges):
+        np.add.at(out_weight, src, w)
+    dangling = out_weight == 0.0
+    prob = w / out_weight[src] if len(edges) else w
+    teleport = cfg.teleport_prob
+    rank = np.full(n, 1.0 / n)
+    iterations = 0
+    converged = False
+    for iterations in range(1, cfg.pagerank_max_iter + 1):
+        flow = np.bincount(dst, weights=prob * rank[src], minlength=n) if len(edges) else np.zeros(n)
+        dangling_mass = rank[dangling].sum()
+        new_rank = (1.0 - teleport) * (flow + dangling_mass / n) + teleport / n
+        delta = np.abs(new_rank - rank).sum()
+        rank = new_rank
+        if delta < cfg.pagerank_tol:
+            converged = True
+            break
+    rank = rank / rank.sum()
+    scores = {node: float(rank[i]) for node, i in index.items()}
+    return scores, reference_ranking(scores), converged, iterations
+
+
+def reference_adjacency(graph, mode):
+    adj = {n: set() for n in graph.nodes}
+    for u, v in graph.edges:
+        adj[u].add(v)
+        if mode is ComponentMode.WEAK:
+            adj[v].add(u)
+    return {n: sorted(s) for n, s in adj.items()}
+
+
+def reference_strong(nodes, adj):
+    order = count()
+    index, lowlink, stack, on_stack, components = {}, {}, [], set(), []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = next(order)
+        stack.append(root)
+        on_stack.add(root)
+        frames = [(root, iter(adj[root]))]
+        while frames:
+            v, it = frames[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = lowlink[nxt] = next(order)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    frames.append((nxt, iter(adj[nxt])))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    lowlink[v] = min(lowlink[v], index[nxt])
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    node = stack.pop()
+                    on_stack.discard(node)
+                    comp.append(node)
+                    if node == v:
+                        break
+                components.append(comp)
+    return components
+
+
+def reference_weak(nodes, adj):
+    seen, components = set(), []
+    for root in nodes:
+        if root in seen:
+            continue
+        comp, queue = [], [root]
+        seen.add(root)
+        while queue:
+            v = queue.pop()
+            comp.append(v)
+            for nxt in adj[v]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        components.append(comp)
+    return components
+
+
+def reference_components(graph, mode):
+    nodes = sorted(graph.nodes)
+    find = reference_strong if mode is ComponentMode.STRONG else reference_weak
+    comps = sorted(sorted(c) for c in find(nodes, reference_adjacency(graph, mode)))
+    comps.sort(key=len, reverse=True)
+    return comps
+
+
+def reference_label(node):
+    return f"{node.title} | {node.industry}" if isinstance(node, JobKey) else node
+
+
+def reference_csv(graph, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["src", "dst", "weight"])
+        for (u, v), w in sorted(graph.edges.items()):
+            writer.writerow([reference_label(u), reference_label(v), w])
+
+
+def reference_dot_quote(text):
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def reference_dot(graph, path):
+    lines = ["digraph talentflow {"]
+    for n in sorted(graph.nodes):
+        lines.append(f"  {reference_dot_quote(reference_label(n))};")
+    for (u, v), w in sorted(graph.edges.items()):
+        lines.append(
+            f"  {reference_dot_quote(reference_label(u))} -> "
+            f"{reference_dot_quote(reference_label(v))} [weight={w}];"
+        )
+    lines.append("}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_graphml(graph, path):
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <key id="support" for="node" attr.name="support" attr.type="int"/>',
+        '  <key id="weight" for="edge" attr.name="weight" attr.type="int"/>',
+        '  <graph edgedefault="directed">',
+    ]
+    for n in sorted(graph.nodes):
+        lines.append(
+            f"    <node id={quoteattr(reference_label(n))}>"
+            f'<data key="support">{graph.node_support.get(n, 0)}</data></node>'
+        )
+    for (u, v), w in sorted(graph.edges.items()):
+        lines.append(
+            f"    <edge source={quoteattr(reference_label(u))} "
+            f"target={quoteattr(reference_label(v))}>"
+            f'<data key="weight">{w}</data></edge>'
+        )
+    lines.extend(["  </graph>", "</graphml>"])
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+REFERENCE_WRITERS = {
+    ExportFormat.CSV_EDGELIST: reference_csv,
+    ExportFormat.DOT: reference_dot,
+    ExportFormat.GRAPHML: reference_graphml,
+}
+
+
+# --- graphs -----------------------------------------------------------------
+
+ORG_LABELS = [
+    "acme", "acme corp", "café münchen", "서울상사", 'the "quoted" co',
+    "smith & sons", "a<b", "back\\slash", "zeta", "ångström", "b&q <uk>", "x",
+]
+TITLES = ["analyst", "analyst ii", "analyst iii", "ingénieur", 'lead "a"', "r&d <2>"]
+INDUSTRIES = ["fin", "fin tech", "tech", "énergie", "a\\b"]
+
+
+def random_graph(rng, level, p_edge=None):
+    if level is GraphLevel.ORG:
+        pool = list(ORG_LABELS)
+    else:
+        pool = [JobKey(t, i) for t in TITLES for i in INDUSTRIES]
+    nodes = set(rng.sample(pool, rng.randint(1, len(pool))))
+    ordered = sorted(nodes)
+    p = rng.choice([0.0, 0.05, 0.2, 0.6]) if p_edge is None else p_edge
+    edges = {
+        (u, v): rng.randint(1, 50)
+        for u in ordered for v in ordered
+        if rng.random() < p  # includes self-loops; isolated nodes stay in
+    }
+    support = {n: rng.randint(0, 30) for n in ordered if rng.random() < 0.8}
+    return HopGraph(level=level, nodes=nodes, node_support=support, edges=edges)
+
+
+def assert_matches_references(graph, tmp_path, cfg=CFG):
+    for direction in Direction:
+        table = degree_centrality(graph, direction)
+        assert (table.scores, table.ranking) == reference_degree(graph, direction)
+    if graph.nodes:
+        table = weighted_pagerank(graph, cfg)
+        assert table.metric is CentralityMetric.PAGERANK
+        assert (table.scores, table.ranking, table.converged, table.iterations) == (
+            reference_pagerank(graph, cfg)
+        )
+    for mode in ComponentMode:
+        assert connected_components(graph, mode) == reference_components(graph, mode)
+    report = component_report(graph)
+    sccs = reference_components(graph, ComponentMode.STRONG)
+    wccs = reference_components(graph, ComponentMode.WEAK)
+    assert (report.scc_count, report.wcc_count) == (len(sccs), len(wccs))
+    assert report.largest_scc_size == (len(sccs[0]) if sccs else 0)
+    assert report.second_wcc_size == (len(wccs[1]) if len(wccs) > 1 else 0)
+    assert graph.sorted_nodes() == sorted(graph.nodes)
+    assert graph.sorted_edges() == sorted(graph.edges.items())
+    for fmt, write in REFERENCE_WRITERS.items():
+        got = export_graph(graph, fmt, tmp_path / f"got.{fmt.value}")
+        write(graph, tmp_path / f"want.{fmt.value}")
+        assert got.read_bytes() == (tmp_path / f"want.{fmt.value}").read_bytes(), fmt
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(GraphLevel)))
+@settings(max_examples=60, deadline=None)
+def test_indexed_analytics_match_references(tmp_path_factory, seed, level):
+    rng = random.Random(seed)
+    assert_matches_references(random_graph(rng, level), tmp_path_factory.mktemp("g"))
+
+
+def test_unconverged_pagerank_matches_reference(tmp_path):
+    graph = random_graph(random.Random(3), GraphLevel.JOB, p_edge=0.3)
+    assert not weighted_pagerank(graph, FEW_ITERATIONS).converged
+    assert_matches_references(graph, tmp_path, FEW_ITERATIONS)
+
+
+@pytest.mark.parametrize(
+    "nodes, edges",
+    [
+        (set(), {}),  # empty
+        ({"a", "b", "c"}, {}),  # edgeless
+        ({"a"}, {("a", "a"): 4}),  # a lone self-loop
+        ({"a", "b", "z"}, {("a", "a"): 2, ("a", "b"): 1, ("b", "a"): 1}),  # z isolated
+    ],
+)
+def test_degenerate_graphs_match_references(tmp_path, nodes, edges):
+    graph = HopGraph(level=GraphLevel.ORG, nodes=nodes, node_support={}, edges=edges)
+    assert_matches_references(graph, tmp_path)
+
+
+def test_prefix_titles_keep_tuple_order(tmp_path):
+    a, b, c = JobKey("analyst", "fin"), JobKey("analyst", "tech"), JobKey("analyst ii", "fin")
+    graph = HopGraph(
+        level=GraphLevel.JOB, nodes={a, b, c}, node_support={a: 1},
+        edges={(c, a): 1, (a, c): 2, (b, b): 3},
+    )
+    assert graph.index.nodes == (a, b, c)
+    assert graph.index.edges == ((a, c), (b, b), (c, a))
+    assert graph.index.src.tolist() == [0, 1, 2]
+    assert graph.index.dst.tolist() == [2, 1, 0]
+    assert graph.index.weight.tolist() == [2, 3, 1]
+    assert_matches_references(graph, tmp_path)
+
+
+def test_index_is_read_only_and_checks_endpoints():
+    graph = HopGraph(level=GraphLevel.ORG, nodes={"a", "b"}, node_support={}, edges={("a", "b"): 1})
+    assert isinstance(graph.nodes, frozenset)
+    with pytest.raises(ValueError):
+        graph.index.weight[0] = 5
+    with pytest.raises(ValueError, match="'c'"):
+        HopGraph(level=GraphLevel.ORG, nodes={"a"}, node_support={}, edges={("a", "c"): 1})
+
+
+NUMPY_MA_PROBE = """
+import sys, tempfile
+from pathlib import Path
+
+import numpy
+
+preloaded = "numpy.ma" in sys.modules  # numpy 1.x imports it eagerly
+from talentflow import graphalgo, hopgraph
+from talentflow.hops import extract_all_hops
+from talentflow.ingest import filter_active, ingest_profiles
+from talentflow.model import AnalysisConfig
+from talentflow.synthgen import GeneratorSpec, generate
+
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    spec = GeneratorSpec(seed=5, n_users=300)
+    generate(spec, tmp / "c.jsonl", tmp / "t.json")
+    profiles, _ = ingest_profiles(tmp / "c.jsonl")
+    active = filter_active(profiles)
+    config = AnalysisConfig(curr_date=spec.curr_date, min_support=1)
+    hops, _ = extract_all_hops(active, config)
+    for level in hopgraph.GraphLevel:
+        graph = hopgraph.build_graph(hops, level, config, profiles=active)
+        tables = [
+            graphalgo.degree_centrality(graph, graphalgo.Direction.IN),
+            graphalgo.degree_centrality(graph, graphalgo.Direction.OUT),
+            graphalgo.weighted_pagerank(graph, config),
+        ]
+        for table in tables:
+            graphalgo.centrality_ccdf(table)
+            graphalgo.top_k(table, 5)
+            graphalgo.fit_power_law([max(1, round(s * 1e6)) for s in table.scores.values()], 3)
+        graphalgo.component_report(graph)
+        for mode in graphalgo.ComponentMode:
+            graphalgo.connected_components(graph, mode)
+        for fmt in hopgraph.ExportFormat:
+            hopgraph.export_graph(graph, fmt, tmp / f"{level.value}.{fmt.value}")
+print(preloaded, "numpy.ma" in sys.modules)
+"""
+
+
+def test_graph_layer_leaves_numpy_ma_unloaded():
+    # np.unique imports numpy.ma on first call, about 2 MB of peak memory.
+    src = str(Path(talentflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    preloaded, loaded = out.stdout.split()
+    assert loaded == preloaded

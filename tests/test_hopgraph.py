@@ -1,4 +1,5 @@
 import random
+import re
 from collections import defaultdict
 
 import pytest
@@ -290,3 +291,35 @@ def test_unicode_labels_survive_csv_round_trip(tmp_path):
     path = export_graph(g, ExportFormat.CSV_EDGELIST, tmp_path / "u.csv")
     back = import_graph_csv(path, GraphLevel.JOB)
     assert back.edges == g.edges
+
+
+@pytest.mark.parametrize("industry", ["fin | tech", "| tech", "tech |  | x"])
+def test_industry_that_swallows_the_separator_fails_to_render(tmp_path, industry):
+    # Exported as 'analyst | fin | tech', it would read back as
+    # JobKey("analyst | fin", "tech").
+    key = JobKey("analyst", industry)
+    with pytest.raises(ValueError, match=re.escape(repr(f"analyst | {industry}"))):
+        node_to_str(key)
+    g = build_graph([hop("analyst", "x", industry, "lead", "y", "fin")], GraphLevel.JOB, CFG1)
+    for fmt in ExportFormat:
+        with pytest.raises(ValueError, match=re.escape(repr(industry))):
+            export_graph(g, fmt, tmp_path / f"g.{fmt.value}")
+    # Titles may contain it: the separator is the last ' | '.
+    key = JobKey("a | b", "fin tech |x")
+    assert node_from_str(node_to_str(key), GraphLevel.JOB) == key
+
+
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ("x,y,2\nx,y,3\n", "repeated edge"),
+        ("x,y,0\n", "must be positive"),
+        ("x,y,-3\n", "must be positive"),
+    ],
+)
+def test_import_rejects_rows_export_never_writes(tmp_path, rows, problem):
+    path = tmp_path / "g.csv"
+    path.write_text("src,dst,weight\n" + rows)
+    with pytest.raises(ValueError, match=problem) as err:
+        import_graph_csv(path, GraphLevel.ORG)
+    assert repr(rows.splitlines()[-1].split(",")) in str(err.value)
