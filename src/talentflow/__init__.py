@@ -7,18 +7,21 @@ from .model import (
     JobKey,
     JobRecord,
     OrgJobKey,
+    StintDrops,
+    StintTable,
     UserProfile,
     months_between,
     normalize_label,
 )
 from .ingest import IngestReport, filter_active, ingest_profiles
-from .hops import Hop, HopKind, classify_hop, extract_all_hops, extract_hops
+from .hops import Hop, HopKind, HopTable, classify_hop, extract_all_hops, extract_hops
 from .metrics import (
     CohortAxis,
     CohortStats,
     CorpusIndex,
     LevelGainLabel,
     LevelGainRecord,
+    LevelGainTable,
     external_hop_fraction,
     job_age,
     job_level,

@@ -35,7 +35,7 @@ from .metrics import (
     promotion_by_stay,
     promotion_summary,
 )
-from .model import AnalysisConfig, DateMonth, UserProfile
+from .model import AnalysisConfig, DateMonth, StintDrops, StintTable, UserProfile
 from .synthgen import GeneratorSpec, generate
 
 _AXIS_NAMES = {axis.value: axis for axis in CohortAxis}
@@ -110,11 +110,15 @@ def _cmd_hops(args) -> int:
          "dst_title", "dst_org", "dst_industry", "kind", "stay_months"],
         rows,
     )
-    if diag.future_jobs or diag.invalid_period_jobs:
-        print(f"skipped {diag.future_jobs} jobs starting after {config.curr_date} and "
-              f"{diag.invalid_period_jobs} jobs with start > end", file=sys.stderr)
+    _warn_dropped(diag, config)
     print(args.out)
     return 0
+
+
+def _warn_dropped(drops: StintDrops, config: AnalysisConfig) -> None:
+    if drops.future_jobs or drops.invalid_period_jobs:
+        print(f"skipped {drops.future_jobs} jobs starting after {config.curr_date} and "
+              f"{drops.invalid_period_jobs} jobs with start > end", file=sys.stderr)
 
 
 def _cmd_metrics_cohorts(args) -> int:
@@ -127,8 +131,9 @@ def _cmd_metrics_cohorts(args) -> int:
         axes.append(_AXIS_NAMES[name])
     if not 1 <= len(axes) <= 2:
         raise ValueError("pass one or two cohort axes")
-    hops, _ = extract_all_hops(active, config)
-    index = CorpusIndex.build(active, config)
+    stints = StintTable.of(active, config.curr_date)
+    hops, _ = extract_all_hops(stints, config)
+    index = CorpusIndex.build(stints, config)
     stats = external_hop_fraction(hops, axes, index, {p.user_id: p for p in active})
     name = "_x_".join(a.value for a in axes)
     reports.write_rows(
@@ -157,9 +162,9 @@ def _cmd_metrics_levels(args) -> int:
 
 
 def _records(active, config):
-    hops, _ = extract_all_hops(active, config)
-    index = CorpusIndex.build(active, config)
-    return level_gains(hops, index)
+    stints = StintTable.of(active, config.curr_date)
+    hops, _ = extract_all_hops(stints, config)
+    return level_gains(hops, CorpusIndex.build(stints, config))
 
 
 def _cmd_metrics_promotions(args) -> int:
@@ -283,7 +288,10 @@ def _cmd_report_all(args) -> int:
     if not out_dir:
         raise ValueError("pass --out-dir or set TALENTFLOW_OUT_DIR")
     active, config = _load(args)
-    for path in reports.write_all_reports(active, config, out_dir):
+    drops = StintDrops()
+    written = reports.write_all_reports(active, config, out_dir, drops)
+    _warn_dropped(drops, config)
+    for path in written:
         print(path)
     return 0
 

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .hopgraph import HopGraph, NodeKey
-from .model import AnalysisConfig
+from .model import AnalysisConfig, run_starts
 
 
 class CentralityMetric(str, Enum):
@@ -275,7 +275,7 @@ _EULER_MACLAURIN = (
     7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
     -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
 )
-_KS_BLOCK_PAIRS = 1 << 16  # bounds the memory of fit_power_law's KS scan
+_KS_BLOCK_PAIRS = 1 << 14  # bounds the memory of fit_power_law's KS scan
 
 
 def _hurwitz_zeta_scaled(s: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -325,7 +325,7 @@ def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
 
     log_xs = np.log(xs.astype(np.float64))
     suffix_logsum = np.concatenate([np.cumsum(log_xs[::-1])[::-1], [0.0]])
-    first = _run_starts(xs)
+    first = run_starts(xs)
     distinct = xs[first]
     n_tail = len(xs) - first
     n_cut = min(int(np.count_nonzero(n_tail >= min_tail)), len(distinct) - 1)
@@ -352,7 +352,7 @@ def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
         emp_cdf = (upto[t] - first[j]) / n_tail[j]
         tail_sum = _hurwitz_zeta_scaled(alpha[row], distinct[t] + 1.0, xmin[row])
         dev = np.abs(emp_cdf - (1.0 - tail_sum / norm[row]))
-        heads = _run_starts(row)
+        heads = run_starts(row)
         ks[row[heads]] = np.maximum(ks[row[heads]], np.maximum.reduceat(dev, heads))
 
     best = int(np.argmin(ks))  # the first minimum: smallest xmin on ties
@@ -362,11 +362,6 @@ def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
         ks_statistic=float(ks[best]),
         n_tail=int(n_tail[cut[best]]),
     )
-
-
-def _run_starts(ordered: np.ndarray) -> np.ndarray:
-    """Index of each distinct value's first occurrence in a sorted array."""
-    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
 
 
 def centrality_ccdf(table: CentralityTable) -> list[tuple[float, float]]:
@@ -379,7 +374,7 @@ def centrality_ccdf(table: CentralityTable) -> list[tuple[float, float]]:
         raise ValueError("ccdf of an empty score table")
     values = np.sort(np.array(list(table.scores.values()), dtype=np.float64))
     n = len(values)
-    first = _run_starts(values)
+    first = run_starts(values)
     return [(float(v), float(n - i) / n) for v, i in zip(values[first], first)]
 
 

@@ -11,7 +11,9 @@ no self-loops.
 Node support is the number of distinct user profiles with a usable stint
 (see usable_jobs) in the node's job or organization -- a property of the
 corpus, not of the graph -- so pruning under-support nodes is a single
-pass: removing a neighbor can never invalidate a surviving node.
+pass: removing a neighbor can never invalidate a surviving node. Edge
+weights and support are counted from the integer columns of the hop and
+stint tables (see HopTable, StintTable).
 
 A HopGraph is frozen. It computes one integer index (GraphIndex) when it
 is constructed: the node keys in sorted order, and the edges as integer
@@ -23,19 +25,27 @@ sorts or re-keys the graph again; exports render each node label once.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from .hops import Hop, HopKind
-from .model import AnalysisConfig, JobKey, UserProfile, usable_jobs
+from .hops import Hop, HopTable
+from .model import (
+    AnalysisConfig,
+    DateMonth,
+    JobKey,
+    StintTable,
+    UserProfile,
+    distinct_counts,
+    groups,
+)
 
 NodeKey = JobKey | str
 
@@ -165,7 +175,7 @@ def build_graph(
     hops: Iterable[Hop],
     level: GraphLevel,
     config: AnalysisConfig,
-    profiles: Iterable[UserProfile] | None = None,
+    profiles: Iterable[UserProfile] | StintTable | None = None,
     distinct_users: bool = False,
 ) -> HopGraph:
     """Build and prune one talent-flow graph.
@@ -175,41 +185,84 @@ def build_graph(
     when given (distinct holders of a usable stint at the node's
     job/organization); without profiles it falls back to distinct users seen
     at the node across the hops. Nodes under min_support are removed, then
-    edges with a missing endpoint -- one pass, no cascade.
+    edges with a missing endpoint -- one pass, no cascade. hops may be a
+    HopTable or Hop objects, and profiles the profiles or their StintTable.
     """
+    table = HopTable.of(hops)
+    stints = table.stints
+    src, dst = table.src, table.dst
     if level is GraphLevel.ORG:
-        attr = "organization"
-        hops = [h for h in hops if h.kind is HopKind.EXTERNAL]
-    else:
-        attr = "key"
-        hops = list(hops)
-    ends = (f"source.{attr}", f"dest.{attr}")
-    if distinct_users:
-        moves = dict.fromkeys(map(attrgetter(*ends, "user_id"), hops))
-        weights = Counter(map(itemgetter(0, 1), moves))
-    else:
-        weights = Counter(map(attrgetter(*ends), hops))
-    nodes = set(chain.from_iterable(weights))
-
-    holders: dict[NodeKey, set[str]] = defaultdict(set)
+        src, dst = src[table.external], dst[table.external]
+    node, keys = _node_column(stints, level)
+    u, v = node[src], node[dst]
+    who = stints.user_code[stints.user[src]]
     if profiles is None:
-        for u, v, user in map(attrgetter(*ends, "user_id"), hops):
-            holders[u].add(user)
-            holders[v].add(user)
+        support = distinct_counts(np.concatenate([u, v]), np.concatenate([who, who]), len(keys))
     else:
-        node_of = attrgetter(attr)
-        for p in profiles:
-            for j in usable_jobs(p, config.curr_date):
-                holders[node_of(j)].add(p.user_id)
-    support = {n: len(holders.get(n, ())) for n in nodes}
+        support = _holder_support(stints, level, config.curr_date, profiles, keys)
+    if distinct_users:
+        order, first, _ = groups(u, v, who)
+        moves = order[first]
+        order, first, weight = groups(u[moves], v[moves])
+        edge = moves[order[first]]
+    else:
+        order, first, weight = groups(u, v)
+        edge = order[first]
+    u, v = u[edge], v[edge]
 
-    kept = frozenset(n for n in nodes if support[n] >= config.min_support)
+    kept = np.zeros(len(keys), bool)
+    kept[u] = True
+    kept[v] = True
+    kept &= support >= config.min_support
+    live = kept[u] & kept[v]
+    node_support = dict(
+        zip(map(keys.__getitem__, np.flatnonzero(kept).tolist()), support[kept].tolist())
+    )
     return HopGraph(
         level=level,
-        nodes=kept,
-        node_support={n: support[n] for n in kept},
-        edges={e: w for e, w in weights.items() if e[0] in kept and e[1] in kept},
+        nodes=frozenset(node_support),
+        node_support=node_support,
+        edges={
+            (keys[a], keys[b]): w
+            for a, b, w in zip(u[live].tolist(), v[live].tolist(), weight[live].tolist())
+        },
     )
+
+
+def _node_column(stints: StintTable, level: GraphLevel) -> tuple[np.ndarray, tuple]:
+    """Each stint's node id at the level, and the node key of each id."""
+    if level is GraphLevel.ORG:
+        return stints.org, stints.orgs
+    return stints.job_key, stints.job_keys
+
+
+def _holder_support(
+    stints: StintTable,
+    level: GraphLevel,
+    curr_date: DateMonth,
+    profiles: Iterable[UserProfile] | StintTable,
+    keys: tuple[NodeKey, ...],
+) -> np.ndarray:
+    """Distinct holders of a usable stint per node id of the hops' stints.
+
+    Hops extracted from these very profile objects at this date already
+    hold their stint table, so no profile is read again.
+    """
+    if not isinstance(profiles, StintTable):
+        profiles = tuple(profiles)
+        if (
+            stints.curr_date == curr_date
+            and len(profiles) == len(stints.profiles)
+            and all(map(operator.is_, profiles, stints.profiles))
+        ):
+            profiles = stints
+    holders = StintTable.of(profiles, curr_date)
+    node, holder_keys = _node_column(holders, level)
+    counts = distinct_counts(node, holders.user_code[holders.user], len(holder_keys))
+    if holders is stints:
+        return counts
+    by_key = dict(zip(holder_keys, counts.tolist()))
+    return np.fromiter((by_key.get(k, 0) for k in keys), np.int64, len(keys))
 
 
 def _labels(graph: HopGraph, quote: Callable[[str], str]) -> dict[NodeKey, str]:

@@ -7,21 +7,32 @@ repeated (title, organization) listing is a duplicate, not a hop. Jobs are
 ordered by (start, end, title, organization) so the result is independent
 of input order; consecutive-only pairing keeps one career from being
 counted more than once per transition.
+
+Hops are derived from a StintTable in one pass: a stable sort of all stints
+by (user, start, end, rank of the (title, organization) key) and a
+comparison of neighbouring rows. The result is a HopTable, integer columns
+that point into the stint table; it is also a read-only sequence of Hop
+objects, each built only when it is read. Functions that take hops accept
+the table or any iterable of Hop objects (see HopTable.of).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Iterable
+
+import numpy as np
 
 from .model import (
     AnalysisConfig,
     DateMonth,
     JobRecord,
+    RowViews,
     StintDrops,
+    StintTable,
     UserProfile,
     months_between,
-    usable_jobs,
 )
 
 
@@ -66,11 +77,105 @@ def classify_hop(
     return None
 
 
-def _sort_key(curr_date: DateMonth):
-    def key(j: JobRecord):
-        return (j.start.ordinal, j.end_or(curr_date).ordinal, j.title, j.organization)
+class HopTable(RowViews):
+    """Hops as integer columns over a stint table; a read-only Sequence[Hop].
 
-    return key
+    Hop i runs from stint src[i] to stint dst[i] of stints; external[i] is
+    its kind and stay[i] its duration_of_stay_months. Indexing builds a Hop
+    view; two tables, or a table and a list, are equal when their hops are.
+    The arrays are read-only.
+    """
+
+    __slots__ = ("stints", "src", "dst", "external", "stay")
+
+    def __init__(
+        self,
+        stints: StintTable,
+        src: np.ndarray,
+        dst: np.ndarray,
+        external: np.ndarray,
+        stay: np.ndarray,
+    ) -> None:
+        for a in (src, dst, external, stay):
+            a.flags.writeable = False
+        self.stints = stints
+        self.src = src
+        self.dst = dst
+        self.external = external
+        self.stay = stay
+
+    @classmethod
+    def of(cls, hops: Iterable[Hop]) -> "HopTable":
+        """The hops as a table; a HopTable is returned as is.
+
+        Plain Hop objects become a table over a stint table of their
+        endpoints, each hop keeping its own kind and duration.
+        """
+        if isinstance(hops, HopTable):
+            return hops
+        hops = list(hops)
+        users = [h.user_id for h in hops]
+        stints = StintTable.of_endpoints(
+            [u for u in users for _ in (0, 1)],
+            [j for h in hops for j in (h.source, h.dest)],
+        )
+        src = np.arange(0, 2 * len(hops), 2)
+        return cls(
+            stints,
+            src,
+            src + 1,
+            np.fromiter((h.kind is HopKind.EXTERNAL for h in hops), bool, len(hops)),
+            np.fromiter((h.duration_of_stay_months for h in hops), np.int64, len(hops)),
+        )
+
+    @classmethod
+    def of_stints(cls, stints: StintTable) -> "HopTable":
+        """Every user's hops, users in table order, each user's in time order."""
+        keys = stints.org_keys
+        rank = np.empty(len(keys), np.intp)
+        rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        # (title, organization) is the org key, so its rank breaks ties the
+        # way the (start, end, title, organization) order does; lexsort is
+        # stable, so equal stints keep their listing order.
+        order = np.lexsort((rank[stints.org_key], stints.end, stints.start, stints.user))
+        a, b = order[:-1], order[1:]
+        is_hop = (
+            (stints.user[a] == stints.user[b])
+            & (stints.start[b] >= stints.end[a])
+            & (stints.org_key[a] != stints.org_key[b])
+        )
+        src, dst = a[is_hop], b[is_hop]
+        return cls(
+            stints,
+            src,
+            dst,
+            stints.org[src] != stints.org[dst],
+            stints.end[src] - stints.start[src],
+        )
+
+    @property
+    def user(self) -> np.ndarray:
+        """Each hop's user, a position in stints.user_ids."""
+        return self.stints.user[self.src]
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.src, self.dst, self.external, self.stay
+
+    def _view(self, src: int, dst: int, external: bool, stay: int) -> Hop:
+        stints = self.stints
+        return Hop(
+            user_id=stints.user_ids[stints.user[src]],
+            source=stints.jobs[src],
+            dest=stints.jobs[dst],
+            kind=HopKind.EXTERNAL if external else HopKind.INTERNAL,
+            duration_of_stay_months=stay,
+        )
+
+    def __repr__(self) -> str:
+        return f"HopTable({len(self)} hops over {len(self.stints)} stints)"
 
 
 def extract_hops(
@@ -85,33 +190,19 @@ def extract_hops(
     continues with the next job. A zero gap (dest starts the month the
     source ends) is a hop.
     """
-    jobs = sorted(usable_jobs(profile, curr_date, diag), key=_sort_key(curr_date))
-
-    hops: list[Hop] = []
-    for source, dest in zip(jobs, jobs[1:]):
-        kind = classify_hop(source, dest, curr_date)
-        if kind is None:
-            continue
-        hops.append(
-            Hop(
-                user_id=profile.user_id,
-                source=source,
-                dest=dest,
-                kind=kind,
-                duration_of_stay_months=months_between(
-                    source.start, source.end_or(curr_date)
-                ),
-            )
-        )
-    return hops
+    stints = StintTable.of([profile], curr_date)
+    if diag is not None:
+        diag.add(stints.drops)
+    return list(HopTable.of_stints(stints))
 
 
 def extract_all_hops(
-    profiles: list[UserProfile], config: AnalysisConfig
-) -> tuple[list[Hop], HopDiagnostics]:
-    """Extract hops for a whole corpus, profile order preserved."""
-    diag = HopDiagnostics()
-    hops: list[Hop] = []
-    for p in profiles:
-        hops.extend(extract_hops(p, config.curr_date, diag))
-    return hops, diag
+    profiles: Iterable[UserProfile] | StintTable, config: AnalysisConfig
+) -> tuple[HopTable, HopDiagnostics]:
+    """Extract hops for a whole corpus, profile order preserved.
+
+    Takes the profiles or their StintTable; the diagnostics are the table's
+    drop counts.
+    """
+    stints = StintTable.of(profiles, config.curr_date)
+    return HopTable.of_stints(stints), replace(stints.drops)

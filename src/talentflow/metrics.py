@@ -17,26 +17,38 @@ experience at the source job's end, the mean age of the source job's
 (title, industry) pair, or the user's skill count) and report, per cell,
 the fraction of hops that leave the organization. Cells with fewer events
 than the cohort minimum support are suppressed as unreliable.
+
+Every aggregate is an array pass over a StintTable or a HopTable:
+CorpusIndex.build takes the profiles or their table, and the functions
+that take hops or level-gain records accept the tables or plain object
+lists (HopTable.of, LevelGainTable.of). A mean stays an exact integer sum
+over a count until one division, so it is the same float Python's
+sum / len gives; bins use float64 floor division as the scalar definitions
+above do. Only per-key lookups (the CorpusIndex dicts, job_level) are
+dicts, one entry per distinct key.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .hops import Hop, HopKind
+import numpy as np
+
+from .hops import Hop, HopKind, HopTable
 from .model import (
     AnalysisConfig,
     DateMonth,
     JobKey,
     JobRecord,
     OrgJobKey,
-    StintDrops,
+    RowViews,
+    StintTable,
     UserProfile,
+    distinct_counts,
+    groups,
     months_between,
-    usable_jobs,
 )
 
 
@@ -86,44 +98,49 @@ class CorpusIndex:
     invalid_period_jobs: int
 
     @classmethod
-    def build(cls, profiles: Iterable[UserProfile], config: AnalysisConfig) -> "CorpusIndex":
+    def build(
+        cls, profiles: Iterable[UserProfile] | StintTable, config: AnalysisConfig
+    ) -> "CorpusIndex":
         # Only the stints usable_jobs keeps feed an aggregate, as in hop
         # extraction and graph support.
-        wk_job: dict[JobKey, list[int]] = defaultdict(list)
-        age_job: dict[JobKey, list[int]] = defaultdict(list)
-        wk_org: dict[OrgJobKey, list[int]] = defaultdict(list)
-        supporters: dict[OrgJobKey, set[str]] = defaultdict(set)
-        skills: dict[str, int] = {}
-        drops = StintDrops()
-        negative = 0
-        for p in profiles:
-            skills[p.user_id] = len(p.skills)
-            for j in usable_jobs(p, config.curr_date, drops):
-                age_job[j.key].append(job_age(j, config))
-                wk = work_experience(p, j, config.curr_date)
-                if wk is None:
-                    if p.grad_date is not None:
-                        negative += 1  # ended before graduation
-                    continue
-                wk_job[j.key].append(wk)
-                wk_org[j.org_key].append(wk)
-                supporters[j.org_key].add(p.user_id)
+        stints = StintTable.of(profiles, config.curr_date)
+        defined = stints.work_exp >= 0
+        wk = stints.work_exp[defined]
+        org_key = stints.org_key[defined]
+        support = distinct_counts(
+            org_key, stints.user_code[stints.user[defined]], len(stints.org_keys)
+        )
         return cls(
             config=config,
-            wk_exp_by_jobkey=_means(wk_job),
-            age_by_jobkey=_means(age_job),
-            wk_exp_by_orgjob=_means(wk_org),
-            support_by_orgjob={key: len(users) for key, users in supporters.items()},
-            skill_count_by_user=skills,
-            negative_experience_jobs=negative,
-            future_jobs=drops.future_jobs,
-            invalid_period_jobs=drops.invalid_period_jobs,
+            wk_exp_by_jobkey=_means(stints.job_keys, stints.job_key[defined], wk),
+            age_by_jobkey=_means(
+                stints.job_keys, stints.job_key, config.curr_date.ordinal - stints.start
+            ),
+            wk_exp_by_orgjob=_means(stints.org_keys, org_key, wk),
+            support_by_orgjob={
+                stints.org_keys[k]: n for k, n in enumerate(support.tolist()) if n
+            },
+            skill_count_by_user=dict(zip(stints.user_ids, stints.skill_count.tolist())),
+            negative_experience_jobs=stints.negative_experience_jobs,
+            future_jobs=stints.drops.future_jobs,
+            invalid_period_jobs=stints.drops.invalid_period_jobs,
         )
 
 
-def _means(values_by_key: Mapping[object, list[int]]) -> dict:
-    # An exact int sum over a count: the same float at every lookup.
-    return {key: sum(values) / len(values) for key, values in values_by_key.items()}
+def _means(keys: Sequence, codes: np.ndarray, values: np.ndarray) -> dict:
+    """Mean value per key that occurs: an exact int sum over a count.
+
+    The sums stay int64 and are divided once, as Python ints, so every
+    mean is the float sum(values) / len(values) gives.
+    """
+    sums = np.zeros(len(keys), np.int64)
+    np.add.at(sums, codes, values)
+    counts = np.bincount(codes, minlength=len(keys))
+    return {
+        keys[k]: total / n
+        for k, (total, n) in enumerate(zip(sums.tolist(), counts.tolist()))
+        if n
+    }
 
 
 def work_experience_of_jobkey(key: JobKey, index: CorpusIndex) -> float | None:
@@ -171,36 +188,113 @@ class LevelGainRecord:
     label: LevelGainLabel
 
 
+LABELS = (LevelGainLabel.PROMOTION, LevelGainLabel.DEMOTION, LevelGainLabel.NEUTRAL)
+
+
+class LevelGainTable(RowViews):
+    """Level-gain records as columns; a read-only Sequence[LevelGainRecord].
+
+    Record i labels hop hop[i] of hops: source_level[i], dest_level[i] and
+    gain[i] are float64 months, label[i] an index into LABELS. Indexing
+    builds a LevelGainRecord view; a table equals a list of equal records.
+    The arrays are read-only.
+    """
+
+    __slots__ = ("hops", "hop", "source_level", "dest_level", "gain", "label")
+
+    def __init__(
+        self,
+        hops: HopTable,
+        hop: np.ndarray,
+        source_level: np.ndarray,
+        dest_level: np.ndarray,
+        gain: np.ndarray,
+        label: np.ndarray,
+    ) -> None:
+        for a in (hop, source_level, dest_level, gain, label):
+            a.flags.writeable = False
+        self.hops = hops
+        self.hop = hop
+        self.source_level = source_level
+        self.dest_level = dest_level
+        self.gain = gain
+        self.label = label
+
+    @classmethod
+    def of(cls, records: Iterable[LevelGainRecord]) -> "LevelGainTable":
+        """The records as a table; a LevelGainTable is returned as is.
+
+        Plain records keep their own levels, gain and label.
+        """
+        if isinstance(records, LevelGainTable):
+            return records
+        records = list(records)
+        n = len(records)
+
+        def floats(name: str) -> np.ndarray:
+            return np.fromiter((getattr(r, name) for r in records), np.float64, n)
+
+        return cls(
+            HopTable.of([r.hop for r in records]),
+            np.arange(n),
+            floats("source_level_months"),
+            floats("dest_level_months"),
+            floats("gain_months"),
+            np.fromiter((LABELS.index(r.label) for r in records), np.intp, n),
+        )
+
+    @property
+    def external(self) -> np.ndarray:
+        return self.hops.external[self.hop]
+
+    @property
+    def stay(self) -> np.ndarray:
+        return self.hops.stay[self.hop]
+
+    def __len__(self) -> int:
+        return len(self.hop)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.hop, self.source_level, self.dest_level, self.gain, self.label
+
+    def _view(self, i: int, src: float, dst: float, gain: float, label: int) -> LevelGainRecord:
+        return LevelGainRecord(
+            hop=self.hops[i],
+            source_level_months=src,
+            dest_level_months=dst,
+            gain_months=gain,
+            label=LABELS[label],
+        )
+
+    def __repr__(self) -> str:
+        return f"LevelGainTable({len(self)} records over {len(self.hops)} hops)"
+
+
 def level_gain(hop: Hop, index: CorpusIndex) -> LevelGainRecord | None:
     """Label one hop by level gain; None when either endpoint lacks support."""
-    src = job_level(hop.source.org_key, index)
-    dst = job_level(hop.dest.org_key, index)
-    if src is None or dst is None:
-        return None
-    gain = dst - src
-    if gain > 0:
-        label = LevelGainLabel.PROMOTION
-    elif gain < 0:
-        label = LevelGainLabel.DEMOTION
-    else:
-        label = LevelGainLabel.NEUTRAL
-    return LevelGainRecord(
-        hop=hop,
-        source_level_months=src,
-        dest_level_months=dst,
-        gain_months=gain,
-        label=label,
-    )
+    records = level_gains([hop], index)
+    return records[0] if records else None
 
 
-def level_gains(hops: Iterable[Hop], index: CorpusIndex) -> list[LevelGainRecord]:
-    """Level-gain records for every hop whose endpoints are both supported."""
-    out = []
-    for h in hops:
-        rec = level_gain(h, index)
-        if rec is not None:
-            out.append(rec)
-    return out
+def level_gains(hops: Iterable[Hop], index: CorpusIndex) -> LevelGainTable:
+    """Level-gain records for every hop whose endpoints are both supported.
+
+    Takes a HopTable or Hop objects; records keep the hops' order.
+    """
+    table = HopTable.of(hops)
+    stints = table.stints
+    levels = [job_level(key, index) for key in stints.org_keys]
+    n_keys = len(levels)
+    supported = np.fromiter((v is not None for v in levels), bool, n_keys)
+    level = np.fromiter((0.0 if v is None else v for v in levels), np.float64, n_keys)
+    src_key = stints.org_key[table.src]
+    dst_key = stints.org_key[table.dst]
+    hop = np.flatnonzero(supported[src_key] & supported[dst_key])
+    src_level = level[src_key[hop]]
+    dst_level = level[dst_key[hop]]
+    gain = dst_level - src_level
+    label = np.where(gain > 0, 0, np.where(gain < 0, 1, 2))
+    return LevelGainTable(table, hop, src_level, dst_level, gain, label)
 
 
 @dataclass(frozen=True)
@@ -247,16 +341,18 @@ class PromotionSummary:
 
 def promotion_summary(records: Iterable[LevelGainRecord]) -> PromotionSummary:
     """Tabulate supported level-gain records into the 2x2(+neutral) summary."""
-    counts = {(k, l): 0 for k in HopKind for l in LevelGainLabel}
-    for r in records:
-        counts[(r.hop.kind, r.label)] += 1
+    table = LevelGainTable.of(records)
+    counts = np.bincount(
+        table.external * len(LABELS) + table.label, minlength=2 * len(LABELS)
+    ).tolist()
+    internal, external = counts[: len(LABELS)], counts[len(LABELS):]
     return PromotionSummary(
-        external_promotions=counts[(HopKind.EXTERNAL, LevelGainLabel.PROMOTION)],
-        external_demotions=counts[(HopKind.EXTERNAL, LevelGainLabel.DEMOTION)],
-        external_neutral=counts[(HopKind.EXTERNAL, LevelGainLabel.NEUTRAL)],
-        internal_promotions=counts[(HopKind.INTERNAL, LevelGainLabel.PROMOTION)],
-        internal_demotions=counts[(HopKind.INTERNAL, LevelGainLabel.DEMOTION)],
-        internal_neutral=counts[(HopKind.INTERNAL, LevelGainLabel.NEUTRAL)],
+        external_promotions=external[0],
+        external_demotions=external[1],
+        external_neutral=external[2],
+        internal_promotions=internal[0],
+        internal_demotions=internal[1],
+        internal_neutral=internal[2],
     )
 
 
@@ -300,29 +396,41 @@ class CohortStats:
         return sorted(self.cohorts.items(), key=lambda kv: kv[0])
 
 
-def _bin_index(
-    hop: Hop,
+def _axis_bins(
     axis: CohortAxis,
+    table: HopTable,
     index: CorpusIndex,
-    profile: UserProfile,
-    age_bins: dict[JobKey, int | None],
-) -> int | None:
-    """k of the hop's bin [k*w, (k+1)*w) on one axis; None if undefined.
+    profiles: list[UserProfile | None],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per hop, k of its bin [k*w, (k+1)*w) on one axis, and where k is defined.
 
     The time axes bin by w whole years; skill counts reuse the same width.
-    age_bins caches the job-age bin, which depends only on the source key.
+    profiles holds each hop-table user's profile, None where unknown.
     """
     width = index.config.group_bin_width_years
+    stints = table.stints
+    user = table.user
     if axis is CohortAxis.SKILL_COUNT:
-        return int(index.skill_count_by_user.get(hop.user_id, 0) // width)
+        skills = index.skill_count_by_user
+        per_user = np.fromiter(
+            (int(skills.get(u, 0) // width) for u in stints.user_ids), np.int64,
+            len(stints.user_ids),
+        )
+        return per_user[user], np.ones(len(table), bool)
     if axis is CohortAxis.WORK_EXP:
-        months = work_experience(profile, hop.source, index.config.curr_date)
-        return None if months is None else int((months / 12.0) // width)
-    key = hop.source.key
-    if key not in age_bins:
-        months = job_age_of_jobkey(key, index)
-        age_bins[key] = None if months is None else int((months / 12.0) // width)
-    return age_bins[key]
+        grad = [None if p is None else p.grad_date for p in profiles]
+        has_grad = np.fromiter((g is not None for g in grad), bool, len(grad))
+        grad_month = np.fromiter((0 if g is None else g.ordinal for g in grad), np.int64, len(grad))
+        months = stints.ends_at(index.config.curr_date)[table.src] - grad_month[user]
+        defined = has_grad[user] & (months >= 0)
+        return np.floor_divide(months / 12.0, width).astype(np.int64), defined
+    ages = [job_age_of_jobkey(key, index) for key in stints.job_keys]
+    per_key = np.fromiter(
+        (0 if m is None else int((m / 12.0) // width) for m in ages), np.int64, len(ages)
+    )
+    known = np.fromiter((m is not None for m in ages), bool, len(ages))
+    key = stints.job_key[table.src]
+    return per_key[key], known[key]
 
 
 def external_hop_fraction(
@@ -333,39 +441,42 @@ def external_hop_fraction(
 ) -> CohortStats:
     """Per-cohort fraction of hop events that leave the organization.
 
-    A hop is attributed to its source job. Hops with an undefined value on
-    any requested axis are excluded. Cells whose event count falls below
-    cohort_min_support carry fraction=None and suppressed=True.
+    A hop is attributed to its source job. Hops of users missing from
+    profiles_by_id, and hops with an undefined value on any requested axis,
+    are excluded. Cells whose event count falls below cohort_min_support
+    carry fraction=None and suppressed=True.
     """
-    counts: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0, 0])
-    age_bins: dict[JobKey, int | None] = {}
-    for hop in hops:
-        profile = profiles_by_id.get(hop.user_id)
-        if profile is None:
-            continue
-        bins = tuple(_bin_index(hop, axis, index, profile, age_bins) for axis in axes)
-        if None in bins:
-            continue
-        cell = counts[bins]
-        if hop.kind is HopKind.EXTERNAL:
-            cell[0] += 1
-        else:
-            cell[1] += 1
+    table = HopTable.of(hops)
+    profiles = [profiles_by_id.get(u) for u in table.stints.user_ids]
+    keep = np.fromiter((p is not None for p in profiles), bool, len(profiles))[table.user]
+    bins = []
+    for axis in axes:
+        k, defined = _axis_bins(axis, table, index, profiles)
+        bins.append(k)
+        keep &= defined
+    rows = np.flatnonzero(keep)
+    # With no axes, one all-zero column puts every hop in the cell ().
+    columns = [k[rows] for k in bins] or [np.zeros(len(rows), np.int64)]
+    order, first, support = groups(*columns)
+    external = (
+        np.add.reduceat(table.external[rows][order].astype(np.int64), first)
+        if len(rows) else first
+    )
+    cells = zip(*(k[order[first]].tolist() for k in columns))
 
     cohorts: dict[tuple[CohortSpec, ...], CohortCell] = {}
     width = index.config.group_bin_width_years
     min_support = index.config.cohort_min_support
-    for bins, (ext, internal) in counts.items():
-        support = ext + internal
-        suppressed = support < min_support
+    for ks, ext, n in zip(cells, external.tolist(), support.tolist()):
+        suppressed = n < min_support
         key = tuple(
-            CohortSpec(axis, float(k * width), float((k + 1) * width)) for axis, k in zip(axes, bins)
+            CohortSpec(axis, float(k * width), float((k + 1) * width)) for axis, k in zip(axes, ks)
         )
         cohorts[key] = CohortCell(
             external_hops=ext,
-            internal_hops=internal,
-            fraction=None if suppressed else ext / support,
-            support=support,
+            internal_hops=n - ext,
+            fraction=None if suppressed else ext / n,
+            support=n,
             suppressed=suppressed,
         )
     return CohortStats(axes=tuple(axes), cohorts=cohorts)
@@ -396,24 +507,26 @@ def promotion_by_stay(
     """
     if bin_width_months < 1:
         raise ValueError("bin_width_months must be a positive integer")
-    grouped: dict[tuple[int, HopKind], list[int]] = defaultdict(lambda: [0, 0])
-    for r in records:
-        k = r.hop.duration_of_stay_months // bin_width_months
-        cell = grouped[(k, r.hop.kind)]
-        cell[0] += 1
-        if r.label is LevelGainLabel.PROMOTION:
-            cell[1] += 1
-
+    table = LevelGainTable.of(records)
+    if not len(table):
+        return []
+    # "external" sorts before "internal", so external bins come first.
+    stay_bin = table.stay // bin_width_months
+    internal = ~table.external
+    order, first, sizes = groups(stay_bin, internal)
+    promoted = (table.label == LABELS.index(LevelGainLabel.PROMOTION)).astype(np.int64)
+    promotions = np.add.reduceat(promoted[order], first)
+    rep = order[first]
     bins = []
-    for (k, kind), (n, promos) in sorted(
-        grouped.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
+    for k, is_internal, n, promos in zip(
+        stay_bin[rep].tolist(), internal[rep].tolist(), sizes.tolist(), promotions.tolist()
     ):
         suppressed = n < config.cohort_min_support
         bins.append(
             StayBin(
                 lower_months=k * bin_width_months,
                 upper_months=(k + 1) * bin_width_months,
-                kind=kind,
+                kind=HopKind.INTERNAL if is_internal else HopKind.EXTERNAL,
                 n_hops=n,
                 n_promotions=promos,
                 fraction=None if suppressed else promos / n,

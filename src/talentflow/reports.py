@@ -19,9 +19,10 @@ drops nine CSVs into the output directory:
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .graphalgo import (
     CentralityTable,
@@ -40,16 +41,15 @@ from .metrics import (
     CohortStats,
     CorpusIndex,
     LevelGainRecord,
+    LevelGainTable,
     PromotionSummary,
     StayBin,
     external_hop_fraction,
-    job_age,
     level_gains,
     promotion_by_stay,
     promotion_summary,
-    work_experience,
 )
-from .model import AnalysisConfig, UserProfile, usable_jobs
+from .model import AnalysisConfig, StintDrops, StintTable, UserProfile, groups
 
 TOP_K = 20
 STAY_BIN_MONTHS = 12
@@ -77,31 +77,38 @@ def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
     return path
 
 
-def _histogram(values: Iterable[float], width: float) -> list[tuple[float, float, int]]:
-    counts = Counter(int(v // width) for v in values)
-    return [(k * width, (k + 1) * width, counts[k]) for k in sorted(counts)]
+def _histogram(bins: np.ndarray, width: float) -> list[tuple[float, float, int]]:
+    """(lower, upper, count) per occupied bin k of [k*width, (k+1)*width), k ascending."""
+    order, first, sizes = groups(bins)
+    return [
+        (k * width, (k + 1) * width, n)
+        for k, n in zip(bins[order[first]].tolist(), sizes.tolist())
+    ]
 
 
 def write_distributions(
-    profiles: list[UserProfile], config: AnalysisConfig, path: Path
+    profiles: Iterable[UserProfile] | StintTable, config: AnalysisConfig, path: Path
 ) -> Path:
-    skill_counts = [len(p.skills) for p in profiles]
-    wk_years = []
-    age_years = []
-    for p in profiles:
-        for j in usable_jobs(p, config.curr_date):
-            age_years.append(job_age(j, config) / 12.0)
-            wk = work_experience(p, j, config.curr_date)
-            if wk is not None:
-                wk_years.append(wk / 12.0)
+    """Histograms of skill counts, work experience and job age.
+
+    Takes the profiles or their StintTable; the time axes bin years,
+    months / 12, in float64 as the scalar definitions do.
+    """
+    stints = StintTable.of(profiles, config.curr_date)
+    wk_months = stints.work_exp[stints.work_exp >= 0]
+    age_months = config.curr_date.ordinal - stints.start
     rows = []
-    for lo, hi, n in _histogram(skill_counts, SKILL_HIST_WIDTH):
+    for lo, hi, n in _histogram(stints.skill_count // SKILL_HIST_WIDTH, SKILL_HIST_WIDTH):
         rows.append(["skill_count", lo, hi, n])
-    for lo, hi, n in _histogram(wk_years, 1.0):
+    for lo, hi, n in _histogram(_year_bins(wk_months), 1.0):
         rows.append(["work_experience_years", lo, hi, n])
-    for lo, hi, n in _histogram(age_years, 1.0):
+    for lo, hi, n in _histogram(_year_bins(age_months), 1.0):
         rows.append(["job_age_years", lo, hi, n])
     return write_rows(path, ["metric", "bin_lower", "bin_upper", "count"], rows)
+
+
+def _year_bins(months: np.ndarray) -> np.ndarray:
+    return np.floor_divide(months / 12.0, 1.0).astype(np.int64)
 
 
 COHORT_HEADER = [
@@ -150,14 +157,17 @@ def write_promotion_table(summary: PromotionSummary, path: Path) -> Path:
     )
 
 
-def write_level_gain_hist(records: list[LevelGainRecord], path: Path) -> Path:
-    counts: Counter[tuple[str, int]] = Counter()
-    for r in records:
-        k = int(r.gain_months // GAIN_BIN_MONTHS)
-        counts[(r.hop.kind.value, k)] += 1
+def write_level_gain_hist(records: Iterable[LevelGainRecord], path: Path) -> Path:
+    table = LevelGainTable.of(records)
+    k = np.floor_divide(table.gain, GAIN_BIN_MONTHS).astype(np.int64)
+    # "external" sorts before "internal", so external rows come first.
+    internal = ~table.external
+    order, first, sizes = groups(internal, k)
+    rep = order[first]
     rows = [
-        [kind, k * GAIN_BIN_MONTHS, (k + 1) * GAIN_BIN_MONTHS, n]
-        for (kind, k), n in sorted(counts.items())
+        ["internal" if is_internal else "external", b * GAIN_BIN_MONTHS,
+         (b + 1) * GAIN_BIN_MONTHS, n]
+        for is_internal, b, n in zip(internal[rep].tolist(), k[rep].tolist(), sizes.tolist())
     ]
     return write_rows(
         path, ["kind", "bin_lower_months", "bin_upper_months", "count"], rows
@@ -247,15 +257,25 @@ def centrality_tables(graph: HopGraph, config: AnalysisConfig) -> list[Centralit
 
 
 def write_all_reports(
-    profiles: list[UserProfile], config: AnalysisConfig, out_dir: str | Path
+    profiles: list[UserProfile],
+    config: AnalysisConfig,
+    out_dir: str | Path,
+    drops: StintDrops | None = None,
 ) -> list[Path]:
-    """Run the full pipeline on ingested profiles and write all nine reports."""
+    """Run the full pipeline on ingested profiles and write all nine reports.
+
+    The active profiles' stints are read once, into one StintTable that
+    every stage shares; the stints it drops are added to drops when given.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     active = filter_active(profiles)
-    hops, _diag = extract_all_hops(active, config)
-    index = CorpusIndex.build(active, config)
+    stints = StintTable.of(active, config.curr_date)
+    if drops is not None:
+        drops.add(stints.drops)
+    hops, _diag = extract_all_hops(stints, config)
+    index = CorpusIndex.build(stints, config)
     by_id = {p.user_id: p for p in active}
 
     crosses = [
@@ -276,13 +296,13 @@ def write_all_reports(
     summary = promotion_summary(records)
     stay_bins = promotion_by_stay(records, STAY_BIN_MONTHS, config)
 
-    job_graph = build_graph(hops, GraphLevel.JOB, config, profiles=active)
-    org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=active)
+    job_graph = build_graph(hops, GraphLevel.JOB, config, profiles=stints)
+    org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=stints)
     job_tables = centrality_tables(job_graph, config)
     org_tables = centrality_tables(org_graph, config)
 
     written = [
-        write_distributions(active, config, out_dir / "distributions.csv"),
+        write_distributions(stints, config, out_dir / "distributions.csv"),
         write_cohorts(crosses, out_dir / "cohort_fractions.csv"),
         write_promotion_table(summary, out_dir / "promotion_table.csv"),
         write_level_gain_hist(records, out_dir / "level_gain_hist.csv"),

@@ -54,7 +54,8 @@ def test_hops_csv_schema(corpus, tmp_path):
     assert all(r[7] in ("internal", "external") for r in rows[1:])
 
 
-def test_hops_notes_both_drop_reasons(tmp_path, capsys):
+def write_two_dropped_stints(tmp_path):
+    """A one-profile corpus: one reversed stint, and one starting after 2012-01."""
     jobs = [
         {"title": "a", "organization": "x", "industry": "i", "start": "2010-01", "end": "2009-01"},
         {"title": "b", "organization": "y", "industry": "i", "start": "2013-01", "end": None},
@@ -62,10 +63,27 @@ def test_hops_notes_both_drop_reasons(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"user_id": "u1", "grad_date": "2008-06", "education_count": 1,
                                   "skills": ["s"], "jobs": jobs}) + "\n", encoding="utf-8")
+    return corpus
+
+
+def test_hops_notes_both_drop_reasons(tmp_path, capsys):
+    corpus = write_two_dropped_stints(tmp_path)
     assert main(["hops", "--input", str(corpus), "--curr-date", "2012-01",
                  "--out", str(tmp_path / "hops.csv")]) == 0
     err = capsys.readouterr().err
     assert "skipped 1 jobs starting after 2012-01 and 1 jobs with start > end" in err
+
+
+def test_report_all_notes_both_drop_reasons(tmp_path, capsys):
+    corpus = write_two_dropped_stints(tmp_path)
+    assert main(["report-all", "--input", str(corpus), "--curr-date", "2012-01",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "skipped 1 jobs starting after 2012-01 and 1 jobs with start > end\n"
+    assert len(captured.out.splitlines()) == 9
+    assert main(["report-all", "--input", str(corpus), "--curr-date", "2014-01",
+                 "--out-dir", str(tmp_path / "later")]) == 0
+    assert "skipped 0 jobs starting after 2014-01 and 1 jobs" in capsys.readouterr().err
 
 
 def test_metrics_cohorts(corpus, tmp_path):
