@@ -7,6 +7,7 @@ from .model import (
     JobKey,
     JobRecord,
     OrgJobKey,
+    ProfileTable,
     StintDrops,
     StintTable,
     UserProfile,

@@ -14,6 +14,9 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from . import reports
 from .graphalgo import (
@@ -24,7 +27,7 @@ from .graphalgo import (
     weighted_pagerank,
 )
 from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph
-from .hops import extract_all_hops
+from .hops import HopKind, extract_all_hops
 from .ingest import filter_active, ingest_profiles
 from .metrics import (
     CohortAxis,
@@ -35,26 +38,29 @@ from .metrics import (
     promotion_by_stay,
     promotion_summary,
 )
-from .model import AnalysisConfig, DateMonth, StintDrops, StintTable, UserProfile
+from .model import (
+    NO_DATE,
+    AnalysisConfig,
+    DateMonth,
+    ProfileTable,
+    StintDrops,
+    StintTable,
+    UserProfile,
+)
 from .synthgen import GeneratorSpec, generate
 
 _AXIS_NAMES = {axis.value: axis for axis in CohortAxis}
+_PAGERANK_WARNING = "warning: pagerank hit max iterations before converging"
 _METRICS = {m.value: m for m in CentralityMetric}
 
 
-def infer_curr_date(profiles: list[UserProfile]) -> DateMonth:
-    """Latest date appearing anywhere in the corpus."""
-    dates = []
-    for p in profiles:
-        if p.grad_date is not None:
-            dates.append(p.grad_date)
-        for j in p.jobs:
-            dates.append(j.start)
-            if j.end is not None:
-                dates.append(j.end)
-    if not dates:
+def infer_curr_date(profiles: Iterable[UserProfile]) -> DateMonth:
+    """Latest date appearing anywhere in the corpus: a max over its columns."""
+    table = ProfileTable.of(profiles)
+    latest = int(np.concatenate([table.grad, table.start, table.end]).max(initial=NO_DATE))
+    if latest == NO_DATE:
         raise ValueError("empty corpus: pass --curr-date to set the analysis date")
-    return max(dates)
+    return table.month(latest)
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -69,9 +75,15 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def _load(args) -> tuple[list[UserProfile], AnalysisConfig]:
-    profiles, _report = ingest_profiles(args.input)
+def _load(args) -> tuple[ProfileTable, AnalysisConfig]:
+    """The active profiles and the run's config; no active profile raises ValueError."""
+    profiles, report = ingest_profiles(args.input)
     active = filter_active(profiles)
+    if not len(active):
+        raise ValueError(
+            f"no active profiles in {args.input}: {report.total_records} records, "
+            f"{report.rejected_records} rejected, {report.inactive_records} inactive"
+        )
     curr = DateMonth.parse(args.curr_date) if args.curr_date else infer_curr_date(profiles)
     config = AnalysisConfig(
         curr_date=curr,
@@ -98,12 +110,19 @@ def _cmd_ingest(args) -> int:
 def _cmd_hops(args) -> int:
     active, config = _load(args)
     hops, diag = extract_all_hops(active, config)
-    rows = [
-        [h.user_id, h.source.title, h.source.organization, h.source.industry,
-         h.dest.title, h.dest.organization, h.dest.industry,
-         h.kind.value, h.duration_of_stay_months]
-        for h in hops
-    ]
+    stints = hops.stints
+    profiles = stints.source
+
+    def labels(column, ends):  # each hop's label at one end, read off the columns
+        return map(profiles.labels.__getitem__, column[stints.rows[ends]].tolist())
+
+    rows = zip(
+        map(stints.user_ids.__getitem__, hops.user.tolist()),
+        *(labels(c, hops.src) for c in (profiles.title, profiles.organization, profiles.industry)),
+        *(labels(c, hops.dst) for c in (profiles.title, profiles.organization, profiles.industry)),
+        [(HopKind.EXTERNAL if e else HopKind.INTERNAL).value for e in hops.external.tolist()],
+        hops.stay.tolist(),
+    )
     reports.write_rows(
         Path(args.out),
         ["user_id", "src_title", "src_org", "src_industry",
@@ -119,6 +138,9 @@ def _warn_dropped(drops: StintDrops, config: AnalysisConfig) -> None:
     if drops.future_jobs or drops.invalid_period_jobs:
         print(f"skipped {drops.future_jobs} jobs starting after {config.curr_date} and "
               f"{drops.invalid_period_jobs} jobs with start > end", file=sys.stderr)
+    if drops.negative_experience_jobs:
+        print(f"{drops.negative_experience_jobs} usable jobs ended before graduation; "
+              "they have no work experience", file=sys.stderr)
 
 
 def _cmd_metrics_cohorts(args) -> int:
@@ -134,7 +156,7 @@ def _cmd_metrics_cohorts(args) -> int:
     stints = StintTable.of(active, config.curr_date)
     hops, _ = extract_all_hops(stints, config)
     index = CorpusIndex.build(stints, config)
-    stats = external_hop_fraction(hops, axes, index, {p.user_id: p for p in active})
+    stats = external_hop_fraction(hops, axes, index, active)
     name = "_x_".join(a.value for a in axes)
     reports.write_rows(
         Path(args.out), reports.COHORT_HEADER, reports.cohort_rows(name, stats)
@@ -225,7 +247,7 @@ def _cmd_graph_analyze(args) -> int:
     if args.ccdf:
         reports.write_ccdfs([table], Path(args.ccdf))
     if not table.converged:
-        print("warning: pagerank hit max iterations before converging", file=sys.stderr)
+        print(_PAGERANK_WARNING, file=sys.stderr)
     print(args.out)
     return 0
 
@@ -289,8 +311,11 @@ def _cmd_report_all(args) -> int:
         raise ValueError("pass --out-dir or set TALENTFLOW_OUT_DIR")
     active, config = _load(args)
     drops = StintDrops()
-    written = reports.write_all_reports(active, config, out_dir, drops)
+    unconverged: list[GraphLevel] = []
+    written = reports.write_all_reports(active, config, out_dir, drops, unconverged)
     _warn_dropped(drops, config)
+    for level in unconverged:
+        print(f"{_PAGERANK_WARNING} ({level.value} graph)", file=sys.stderr)
     for path in written:
         print(path)
     return 0

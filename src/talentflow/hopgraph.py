@@ -9,7 +9,7 @@ it. At the organization level only external hops contribute, so there are
 no self-loops.
 
 Node support is the number of distinct user profiles with a usable stint
-(see usable_jobs) in the node's job or organization -- a property of the
+(see usable_stints) in the node's job or organization -- a property of the
 corpus, not of the graph -- so pruning under-support nodes is a single
 pass: removing a neighbor can never invalidate a surviving node. Edge
 weights and support are counted from the integer columns of the hop and
@@ -25,7 +25,6 @@ sorts or re-keys the graph again; exports render each node label once.
 from __future__ import annotations
 
 import csv
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -186,7 +185,9 @@ def build_graph(
     job/organization); without profiles it falls back to distinct users seen
     at the node across the hops. Nodes under min_support are removed, then
     edges with a missing endpoint -- one pass, no cascade. hops may be a
-    HopTable or Hop objects, and profiles the profiles or their StintTable.
+    HopTable or Hop objects, and profiles a ProfileTable, UserProfile
+    objects or a StintTable. When profiles is the table the hops were
+    extracted from, at the same date, support reads the hops' own stints.
     """
     table = HopTable.of(hops)
     stints = table.stints
@@ -245,17 +246,11 @@ def _holder_support(
 ) -> np.ndarray:
     """Distinct holders of a usable stint per node id of the hops' stints.
 
-    Hops extracted from these very profile objects at this date already
-    hold their stint table, so no profile is read again.
+    Hops extracted from this very profile table at this date already hold
+    its stint table, so no profile is read again.
     """
-    if not isinstance(profiles, StintTable):
-        profiles = tuple(profiles)
-        if (
-            stints.curr_date == curr_date
-            and len(profiles) == len(stints.profiles)
-            and all(map(operator.is_, profiles, stints.profiles))
-        ):
-            profiles = stints
+    if profiles is stints.source and stints.curr_date == curr_date:
+        profiles = stints
     holders = StintTable.of(profiles, curr_date)
     node, holder_keys = _node_column(holders, level)
     counts = distinct_counts(node, holders.user_code[holders.user], len(holder_keys))

@@ -168,8 +168,8 @@ class HopTable(RowViews):
         stints = self.stints
         return Hop(
             user_id=stints.user_ids[stints.user[src]],
-            source=stints.jobs[src],
-            dest=stints.jobs[dst],
+            source=stints.job(src),
+            dest=stints.job(dst),
             kind=HopKind.EXTERNAL if external else HopKind.INTERNAL,
             duration_of_stay_months=stay,
         )
@@ -185,10 +185,10 @@ def extract_hops(
 ) -> list[Hop]:
     """Derive the hops of one profile, in chronological order.
 
-    Only the stints usable_jobs keeps take part (drops are counted in diag
-    when given); an overlapping adjacent pair emits nothing but the chain
-    continues with the next job. A zero gap (dest starts the month the
-    source ends) is a hop.
+    Only the stints usable_stints keeps take part (the table's stint counts
+    are added to diag when given); an overlapping adjacent pair emits
+    nothing but the chain continues with the next job. A zero gap (dest
+    starts the month the source ends) is a hop.
     """
     stints = StintTable.of([profile], curr_date)
     if diag is not None:
@@ -201,8 +201,8 @@ def extract_all_hops(
 ) -> tuple[HopTable, HopDiagnostics]:
     """Extract hops for a whole corpus, profile order preserved.
 
-    Takes the profiles or their StintTable; the diagnostics are the table's
-    drop counts.
+    Takes the profiles (a ProfileTable or UserProfile objects) or their
+    StintTable; the diagnostics are the table's stint counts.
     """
     stints = StintTable.of(profiles, config.curr_date)
     return HopTable.of_stints(stints), replace(stints.drops)

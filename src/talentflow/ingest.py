@@ -1,4 +1,4 @@
-"""Profile ingestion from line-delimited JSON.
+"""Profile ingestion from line-delimited JSON into a ProfileTable.
 
 One JSON object per line, UTF-8:
 
@@ -15,6 +15,12 @@ A null/missing job end means the job is still held. Malformed lines are
 rejected individually (reason MALFORMED) and processing continues; a repeated
 user_id keeps the first occurrence and rejects the rest (DUPLICATE_ID).
 
+Each accepted profile goes straight into the columns of a ProfileTable (see
+model.ProfileTable): labels become integer ids, each distinct raw label
+normalized once, and dates month ordinals, each distinct date text parsed
+once. No UserProfile or JobRecord is built; the table builds them as views
+when one is read.
+
 Because industry is treated as a function of organization, conflicting
 industries for one organization are repaired to the majority industry
 (ties broken lexicographically); the number of rewritten job records is
@@ -24,15 +30,19 @@ reported in IngestReport.industry_repairs.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .model import (
+    NO_DATE,
     DateMonth,
     InvalidLabelError,
-    JobRecord,
+    ProfileTable,
     UserProfile,
+    groups,
     normalize_label,
 )
 
@@ -61,71 +71,99 @@ class IngestReport:
 
 
 class _Interned:
-    """One ingest call's table: each distinct raw label is normalized once,
-    each distinct date text parsed once, and equal values share one object."""
+    """One ingest call's codes: each distinct raw label is normalized once
+    and each distinct date text parsed once.
+
+    ids maps raw and normalized labels to integer ids, positions in labels,
+    so equal labels share one id and one string. ordinals maps date texts to
+    month ordinals, and months each ordinal to one DateMonth.
+    """
 
     def __init__(self) -> None:
-        self.labels: dict[str, str] = {}  # raw and normalized -> normalized
-        self.dates: dict[str, DateMonth] = {}
+        self.ids: dict[str, int] = {}
+        self.labels: list[str] = []
+        self.ordinals: dict[str, int] = {}
+        self.months: dict[int, DateMonth] = {}
 
-    def label(self, raw: str) -> str:
-        if (label := self.labels.get(raw)) is None:
+    def label(self, raw: str) -> int:
+        if (label_id := self.ids.get(raw)) is None:
             label = normalize_label(raw)
-            label = self.labels[raw] = self.labels.setdefault(label, label)
-        return label
+            if (label_id := self.ids.get(label)) is None:
+                label_id = self.ids[label] = len(self.labels)
+                self.labels.append(label)
+            self.ids[raw] = label_id
+        return label_id
 
-    def date(self, text: str) -> DateMonth:
-        return self.dates.get(text) or self.dates.setdefault(text, DateMonth.parse(text))
+    def date(self, text: str) -> int:
+        if (ordinal := self.ordinals.get(text)) is None:
+            month = DateMonth.parse(text)
+            ordinal = self.ordinals[text] = month.ordinal
+            self.months.setdefault(ordinal, month)
+        return ordinal
 
 
-def _parse_date(value: object, where: str, memo: _Interned) -> DateMonth:
+# The checked parsers name a bad field where + name, as in "jobs[2]" ".start".
+
+
+def _date(value: object, memo: _Interned, where: str, name: str = "") -> int:
     if not isinstance(value, str):
-        raise MalformedRecordError(f"{where}: expected YYYY-MM string, got {value!r}")
+        raise MalformedRecordError(f"{where}{name}: expected YYYY-MM string, got {value!r}")
     try:
         return memo.date(value)
     except ValueError as exc:
-        raise MalformedRecordError(f"{where}: {exc}") from exc
+        raise MalformedRecordError(f"{where}{name}: {exc}") from exc
 
 
-def _parse_grad_date(value: object, memo: _Interned) -> DateMonth | None:
+def _grad_date(value: object, memo: _Interned) -> int:
     # A list of graduation dates is allowed; the latest one wins.
     if value is None:
-        return None
+        return NO_DATE
     if isinstance(value, list):
-        if not value:
-            return None
-        return max(_parse_date(v, "grad_date", memo) for v in value)
-    return _parse_date(value, "grad_date", memo)
+        return max((_date(v, memo, "grad_date") for v in value), default=NO_DATE)
+    return _date(value, memo, "grad_date")
 
 
-def _parse_label(value: object, where: str, memo: _Interned) -> str:
+def _label(value: object, memo: _Interned, where: str, name: str) -> int:
     if not isinstance(value, str):
-        raise MalformedRecordError(f"{where}: expected string, got {value!r}")
+        raise MalformedRecordError(f"{where}{name}: expected string, got {value!r}")
     try:
         return memo.label(value)
     except InvalidLabelError as exc:
-        raise MalformedRecordError(f"{where}: {exc}") from exc
+        raise MalformedRecordError(f"{where}{name}: {exc}") from exc
 
 
-def _parse_job(obj: object, where: str, memo: _Interned) -> JobRecord:
+def _skills(raw: list, memo: _Interned) -> set[int]:
+    skills = set()
+    for s in raw:
+        if not isinstance(s, str):
+            raise MalformedRecordError(f"skills: expected string entries, got {s!r}")
+        try:
+            skills.add(memo.label(s))
+        except InvalidLabelError:
+            continue  # blank skill strings are noise, not a reason to reject
+    return skills
+
+
+def _job(obj: object, where: str, memo: _Interned) -> tuple[int, int, int, int, int]:
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"{where}: expected object, got {obj!r}")
     end = obj.get("end")
-    return JobRecord(
-        title=_parse_label(obj.get("title"), f"{where}.title", memo),
-        organization=_parse_label(obj.get("organization"), f"{where}.organization", memo),
-        industry=_parse_label(obj.get("industry"), f"{where}.industry", memo),
-        start=_parse_date(obj.get("start"), f"{where}.start", memo),
-        end=None if end is None else _parse_date(end, f"{where}.end", memo),
+    return (
+        _label(obj.get("title"), memo, where, ".title"),
+        _label(obj.get("organization"), memo, where, ".organization"),
+        _label(obj.get("industry"), memo, where, ".industry"),
+        _date(obj.get("start"), memo, where, ".start"),
+        NO_DATE if end is None else _date(end, memo, where, ".end"),
     )
 
 
-def parse_profile_line(line: str) -> UserProfile:
-    """Parse one JSONL record into a UserProfile; raises MalformedRecordError."""
-    return _parse_profile(line, _Interned())
+# One parsed record: user id, graduation ordinal, education count, skill ids,
+# and five ints per job (title, organization and industry ids, start, end).
+_Record = tuple[str, int, int, set, list]
 
 
-def _parse_profile(line: str, memo: _Interned) -> UserProfile:
+def _parse_record(line: str, memo: _Interned) -> _Record:
+    """Validate one JSONL record; raises MalformedRecordError at the first fault."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -141,76 +179,127 @@ def _parse_profile(line: str, memo: _Interned) -> UserProfile:
     if not isinstance(education, int) or isinstance(education, bool) or education < 0:
         raise MalformedRecordError(f"education_count: expected count >= 0, got {education!r}")
 
+    # Labels and date texts seen before are a dict lookup each. Anything
+    # else -- a new or blank label, a new date, a wrong type -- misses the
+    # lookup and takes the checked path, which raises the diagnostic for
+    # the first bad field.
+    ids, ordinals = memo.ids, memo.ordinals
     raw_skills = obj.get("skills", [])
     if not isinstance(raw_skills, list):
         raise MalformedRecordError(f"skills: expected list, got {raw_skills!r}")
-    skills = set()
-    for s in raw_skills:
-        if not isinstance(s, str):
-            raise MalformedRecordError(f"skills: expected string entries, got {s!r}")
-        try:
-            skills.add(memo.label(s))
-        except InvalidLabelError:
-            continue  # blank skill strings are noise, not a reason to reject
+    try:
+        skills = {ids[s] for s in raw_skills}
+    except (KeyError, TypeError):
+        skills = _skills(raw_skills, memo)
 
     raw_jobs = obj.get("jobs", [])
     if not isinstance(raw_jobs, list):
         raise MalformedRecordError(f"jobs: expected list, got {raw_jobs!r}")
-    jobs = tuple(_parse_job(j, f"jobs[{i}]", memo) for i, j in enumerate(raw_jobs))
+    jobs: list[int] = []
+    for i, job in enumerate(raw_jobs):
+        if type(job) is dict:
+            get = job.get
+            end = get("end")
+            try:
+                jobs += (
+                    ids[get("title")], ids[get("organization")], ids[get("industry")],
+                    ordinals[get("start")], NO_DATE if end is None else ordinals[end],
+                )
+                continue
+            except (KeyError, TypeError):
+                pass
+        jobs += _job(job, f"jobs[{i}]", memo)
 
-    return UserProfile(
-        user_id=user_id.strip(),
-        grad_date=_parse_grad_date(obj.get("grad_date"), memo),
-        skills=frozenset(skills),
-        education_entries=education,
-        jobs=jobs,
-    )
+    return user_id.strip(), _grad_date(obj.get("grad_date"), memo), education, skills, jobs
 
 
-def _repair_industries(profiles: list[UserProfile], report: IngestReport) -> list[UserProfile]:
+class _Columns:
+    """Accepted records as flat int lists, until table() packs them."""
+
+    def __init__(self) -> None:
+        self.user_id: list[str] = []
+        self.grad: list[int] = []
+        self.education: list[int] = []
+        self.skill_count: list[int] = []
+        self.skill: list[int] = []
+        self.job_count: list[int] = []
+        self.job: list[int] = []  # five per job, as in _Record
+
+    def add(self, record: _Record) -> None:
+        user_id, grad, education, skills, jobs = record
+        self.user_id.append(user_id)
+        self.grad.append(grad)
+        self.education.append(education)
+        self.skill_count.append(len(skills))
+        self.skill += skills
+        self.job_count.append(len(jobs) // 5)
+        self.job += jobs
+
+    def table(self, memo: _Interned, report: IngestReport | None = None) -> ProfileTable:
+        """The profile table; with a report, industries are repaired first."""
+        n = len(self.user_id)
+        title, organization, industry, start, end = (
+            np.array(self.job, np.int64).reshape(-1, 5).T.copy()
+        )
+        if report is not None:
+            industry = _repair_industries(organization, industry, memo.labels, report)
+        return ProfileTable(
+            tuple(memo.labels),
+            tuple(self.user_id),
+            np.arange(n),
+            np.array(self.grad, np.int64),
+            np.array(self.education, np.int64),
+            np.cumsum([0] + self.skill_count),
+            np.array(self.skill, np.intp),
+            np.repeat(np.arange(n), self.job_count),
+            title,
+            organization,
+            industry,
+            start,
+            end,
+            memo.months,
+        )
+
+
+def _repair_industries(
+    organization: np.ndarray, industry: np.ndarray, labels: list[str], report: IngestReport
+) -> np.ndarray:
     """Force industry to be a function of organization across the corpus.
 
-    Majority industry per organization wins; ties break lexicographically.
+    A vote count over (organization, industry) id pairs: the majority
+    industry per organization wins, ties to the lexicographically smallest
+    label. Returns the rewritten industry column.
     """
-    votes: dict[str, Counter[str]] = defaultdict(Counter)
-    for p in profiles:
-        for j in p.jobs:
-            votes[j.organization][j.industry] += 1
-
-    canonical: dict[str, str] = {}
-    for org, counter in votes.items():
-        if len(counter) == 1:
-            continue
-        best = min(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-        canonical[org] = best[0]
-
-    if not canonical:
-        return profiles
-
-    repaired: list[UserProfile] = []
-    for p in profiles:
-        new_jobs = []
-        changed = False
-        for j in p.jobs:
-            want = canonical.get(j.organization, j.industry)
-            if want != j.industry:
-                new_jobs.append(replace(j, industry=want))
-                report.industry_repairs += 1
-                changed = True
-            else:
-                new_jobs.append(j)
-        repaired.append(replace(p, jobs=tuple(new_jobs)) if changed else p)
-    return repaired
+    order, first, votes = groups(organization, industry)
+    pair = order[first]
+    best: dict[int, tuple[int, str, int]] = {}
+    for org, ind, n in zip(organization[pair].tolist(), industry[pair].tolist(), votes.tolist()):
+        vote = (-n, labels[ind], ind)
+        if org not in best or vote < best[org]:
+            best[org] = vote
+    canonical = np.zeros(len(labels), np.int64)
+    canonical[list(best)] = [vote[2] for vote in best.values()]
+    want = canonical[organization]
+    report.industry_repairs += int(np.count_nonzero(want != industry))
+    return want
 
 
-def ingest_profiles(path: str | Path) -> tuple[list[UserProfile], IngestReport]:
+def parse_profile_line(line: str) -> UserProfile:
+    """Parse one JSONL record into a UserProfile; raises MalformedRecordError."""
+    memo = _Interned()
+    columns = _Columns()
+    columns.add(_parse_record(line, memo))
+    return columns.table(memo)[0]
+
+
+def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
     """Read a JSONL profile corpus; returns (profiles, report).
 
-    Output order matches input order. Blank lines are skipped without being
-    counted.
+    The profiles are a ProfileTable, a read-only sequence of UserProfile
+    views in input order. Blank lines are skipped without being counted.
     """
     report = IngestReport()
-    profiles: list[UserProfile] = []
+    columns = _Columns()
     seen_ids: set[str] = set()
     memo = _Interned()
 
@@ -220,25 +309,27 @@ def ingest_profiles(path: str | Path) -> tuple[list[UserProfile], IngestReport]:
                 continue
             report.total_records += 1
             try:
-                profile = _parse_profile(line, memo)
+                record = _parse_record(line, memo)
             except MalformedRecordError:
                 report._reject(REASON_MALFORMED)
                 continue
-            if profile.user_id in seen_ids:
+            if record[0] in seen_ids:
                 report._reject(REASON_DUPLICATE_ID)
                 continue
-            seen_ids.add(profile.user_id)
-            profiles.append(profile)
+            seen_ids.add(record[0])
+            columns.add(record)
 
-    profiles = _repair_industries(profiles, report)
-    for p in profiles:
-        if p.is_active:
-            report.active_records += 1
-        else:
-            report.inactive_records += 1
+    profiles = columns.table(memo, report)
+    report.active_records = int(np.count_nonzero(profiles.is_active))
+    report.inactive_records = len(profiles) - report.active_records
     return profiles, report
 
 
-def filter_active(profiles: list[UserProfile]) -> list[UserProfile]:
-    """Keep exactly the active profiles, preserving order."""
-    return [p for p in profiles if p.is_active]
+def filter_active(profiles: Iterable[UserProfile]) -> ProfileTable:
+    """Keep exactly the active profiles, preserving order, as a ProfileTable.
+
+    A table whose profiles are all active is returned as is.
+    """
+    table = ProfileTable.of(profiles)
+    active = table.is_active
+    return table if active.all() else table.take(active)

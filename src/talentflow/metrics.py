@@ -38,11 +38,13 @@ import numpy as np
 
 from .hops import Hop, HopKind, HopTable
 from .model import (
+    NO_DATE,
     AnalysisConfig,
     DateMonth,
     JobKey,
     JobRecord,
     OrgJobKey,
+    ProfileTable,
     RowViews,
     StintTable,
     UserProfile,
@@ -101,7 +103,7 @@ class CorpusIndex:
     def build(
         cls, profiles: Iterable[UserProfile] | StintTable, config: AnalysisConfig
     ) -> "CorpusIndex":
-        # Only the stints usable_jobs keeps feed an aggregate, as in hop
+        # Only the stints usable_stints keeps feed an aggregate, as in hop
         # extraction and graph support.
         stints = StintTable.of(profiles, config.curr_date)
         defined = stints.work_exp >= 0
@@ -121,7 +123,7 @@ class CorpusIndex:
                 stints.org_keys[k]: n for k, n in enumerate(support.tolist()) if n
             },
             skill_count_by_user=dict(zip(stints.user_ids, stints.skill_count.tolist())),
-            negative_experience_jobs=stints.negative_experience_jobs,
+            negative_experience_jobs=stints.drops.negative_experience_jobs,
             future_jobs=stints.drops.future_jobs,
             invalid_period_jobs=stints.drops.invalid_period_jobs,
         )
@@ -397,15 +399,12 @@ class CohortStats:
 
 
 def _axis_bins(
-    axis: CohortAxis,
-    table: HopTable,
-    index: CorpusIndex,
-    profiles: list[UserProfile | None],
+    axis: CohortAxis, table: HopTable, index: CorpusIndex, grad: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per hop, k of its bin [k*w, (k+1)*w) on one axis, and where k is defined.
 
     The time axes bin by w whole years; skill counts reuse the same width.
-    profiles holds each hop-table user's profile, None where unknown.
+    grad holds each hop-table user's graduation month, or NO_DATE.
     """
     width = index.config.group_bin_width_years
     stints = table.stints
@@ -418,11 +417,9 @@ def _axis_bins(
         )
         return per_user[user], np.ones(len(table), bool)
     if axis is CohortAxis.WORK_EXP:
-        grad = [None if p is None else p.grad_date for p in profiles]
-        has_grad = np.fromiter((g is not None for g in grad), bool, len(grad))
-        grad_month = np.fromiter((0 if g is None else g.ordinal for g in grad), np.int64, len(grad))
-        months = stints.ends_at(index.config.curr_date)[table.src] - grad_month[user]
-        defined = has_grad[user] & (months >= 0)
+        grad = grad[user]
+        months = stints.ends_at(index.config.curr_date)[table.src] - grad
+        defined = (grad != NO_DATE) & (months >= 0)
         return np.floor_divide(months / 12.0, width).astype(np.int64), defined
     ages = [job_age_of_jobkey(key, index) for key in stints.job_keys]
     per_key = np.fromiter(
@@ -433,25 +430,50 @@ def _axis_bins(
     return per_key[key], known[key]
 
 
+def _user_grads(
+    stints: StintTable, profiles: Mapping[str, UserProfile] | ProfileTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per user of the stint table: is the user's id among profiles, and the
+    graduation month of its profile (NO_DATE without one).
+
+    Where an id occurs twice in a ProfileTable, the later profile counts,
+    as in a dict built from it.
+    """
+    if isinstance(profiles, ProfileTable):
+        by_id = dict(zip(profiles.user_id, profiles.grad.tolist()))
+        grads = [by_id.get(u) for u in stints.user_ids]
+    else:
+        grads = []
+        for u in stints.user_ids:
+            p = profiles.get(u)
+            grads.append(
+                None if p is None else NO_DATE if p.grad_date is None else p.grad_date.ordinal
+            )
+    known = np.fromiter((g is not None for g in grads), bool, len(grads))
+    grad = np.fromiter((NO_DATE if g is None else g for g in grads), np.int64, len(grads))
+    return known, grad
+
+
 def external_hop_fraction(
     hops: Iterable[Hop],
     axes: Sequence[CohortAxis],
     index: CorpusIndex,
-    profiles_by_id: Mapping[str, UserProfile],
+    profiles_by_id: Mapping[str, UserProfile] | ProfileTable,
 ) -> CohortStats:
     """Per-cohort fraction of hop events that leave the organization.
 
-    A hop is attributed to its source job. Hops of users missing from
-    profiles_by_id, and hops with an undefined value on any requested axis,
-    are excluded. Cells whose event count falls below cohort_min_support
-    carry fraction=None and suppressed=True.
+    A hop is attributed to its source job. profiles_by_id maps user ids to
+    profiles, or is the ProfileTable of the profiles; graduation months are
+    read from it. Hops of users missing from it, and hops with an undefined
+    value on any requested axis, are excluded. Cells whose event count falls
+    below cohort_min_support carry fraction=None and suppressed=True.
     """
     table = HopTable.of(hops)
-    profiles = [profiles_by_id.get(u) for u in table.stints.user_ids]
-    keep = np.fromiter((p is not None for p in profiles), bool, len(profiles))[table.user]
+    known, grad = _user_grads(table.stints, profiles_by_id)
+    keep = known[table.user]
     bins = []
     for axis in axes:
-        k, defined = _axis_bins(axis, table, index, profiles)
+        k, defined = _axis_bins(axis, table, index, grad)
         bins.append(k)
         keep &= defined
     rows = np.flatnonzero(keep)

@@ -2,33 +2,39 @@
 
 All durations are carried as signed month counts internally; reports convert
 to years as months/12. Every type here except the StintDrops counters is
-immutable after construction and safe to share across threads; dates,
-records and profiles are slotted, so no attribute can be added either.
+immutable after construction and safe to share across threads (a
+ProfileTable caches its views once, on first iteration, and any thread's
+cache is as good as another's); dates, records and profiles are slotted,
+so no attribute can be added either.
 JobKey and OrgJobKey are named tuples that hash, compare and sort like plain
 (title, ...) tuples: JobKey("a", "b") == OrgJobKey("a", "b"), so the two
 must never key one dict.
 
-usable_jobs is the one rule for which stints count. StintTable applies it
-once to a whole corpus at one analysis date and keeps the result as integer
-columns, one row per usable stint: hop extraction, the corpus index, graph
-holder support and the distributions all read that table. Every function
-that takes a profile list also takes a StintTable in its place.
+A corpus is a ProfileTable: integer columns per user (id, graduation month,
+education count, skill ids) and per job (user, title, organization and
+industry label ids, start and end months). Ingest fills it directly, and a
+list of UserProfile objects is packed into the same columns; UserProfile
+and JobRecord objects are views a table builds only when one is read.
+
+usable_stints is the one rule for which stints count. StintTable applies it
+once to a whole profile table at one analysis date, as a mask over the job
+columns, and keeps one row per usable stint: hop extraction, the corpus
+index, graph holder support and the distributions all read that table.
+Every function that takes profiles also takes a StintTable in their place.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import starmap
-from operator import attrgetter
+from itertools import chain, starmap
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-_WS_RUN = re.compile(r"\s+")
 _DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
@@ -76,7 +82,11 @@ def normalize_label(raw: str) -> str:
 
     Raises InvalidLabelError if nothing remains.
     """
-    label = _WS_RUN.sub(" ", raw.strip()).translate(_ASCII_FOLD)
+    # str.split() splits on exactly the characters str.isspace() accepts,
+    # the set the regex class \s matches, and drops empty ends; str.lower()
+    # on ASCII text changes only A-Z.
+    label = " ".join(raw.split())
+    label = label.lower() if label.isascii() else label.translate(_ASCII_FOLD)
     if not label:
         raise InvalidLabelError(f"label empty after normalization: {raw!r}")
     return label
@@ -103,7 +113,7 @@ class JobRecord:
     Labels are expected to be pre-normalized (see normalize_label); industry
     is a function of organization, which ingestion repairs and the generator
     guarantees. A record that starts after the analysis date or ends before
-    it starts is constructible; usable_jobs leaves it out of every stage.
+    it starts is constructible; usable_stints leaves it out of every stage.
     """
 
     title: str
@@ -143,183 +153,6 @@ class UserProfile:
         return self.education_entries >= 1 and len(self.skills) >= 1
 
 
-@dataclass
-class StintDrops:
-    """Counts of the stints usable_jobs left out, by reason."""
-
-    future_jobs: int = 0  # starts after the analysis date
-    invalid_period_jobs: int = 0  # ends before it starts
-
-    def add(self, other: "StintDrops") -> None:
-        self.future_jobs += other.future_jobs
-        self.invalid_period_jobs += other.invalid_period_jobs
-
-
-def usable_jobs(
-    profile: UserProfile, curr_date: DateMonth, drops: StintDrops | None = None
-) -> list[JobRecord]:
-    """The profile's stints that count, in listing order.
-
-    A stint counts when it starts no later than the analysis date and does
-    not end before it starts (an open end resolves to the analysis date).
-    Every stage reads stints through here. Drops are counted in drops when
-    given; a stint that fails both tests counts as a future start.
-    """
-    if drops is None:
-        drops = StintDrops()
-    now = curr_date.ordinal
-    kept = []
-    for j in profile.jobs:
-        start = j.start.ordinal
-        if start > now:
-            drops.future_jobs += 1
-        elif (now if j.end is None else j.end.ordinal) < start:
-            drops.invalid_period_jobs += 1
-        else:
-            kept.append(j)
-    return kept
-
-
-NO_EXPERIENCE = -1  # StintTable.work_exp where work experience is undefined
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class StintTable:
-    """The usable stints of a corpus at one analysis date, as integer columns.
-
-    Row r is the stint jobs[r] of user user[r]. Users are positions in
-    user_ids: the profiles in their given order for a table built by of(),
-    the distinct hop users for a table of hop endpoints (see HopTable.of).
-    user_code[u] numbers user u's id among the distinct ids, so that two
-    profiles with one user_id are one person to every distinct-user count.
-    job_key, org_key and org index the distinct job_keys, org_keys and
-    orgs, numbered in order of first appearance. start and end are month
-    ordinals, an open end resolved to curr_date. work_exp is the months
-    from the user's graduation to the end, or NO_EXPERIENCE without a
-    graduation date or when the stint ended before it. Rows keep listing
-    order, profile by profile. drops and negative_experience_jobs count the
-    stints usable_jobs left out and the usable ones that ended before
-    graduation.
-
-    A table of hop endpoints has no curr_date, profiles or skill counts; its
-    open ends read -1 and its work_exp is NO_EXPERIENCE throughout. The
-    arrays are read-only.
-    """
-
-    curr_date: DateMonth | None
-    profiles: tuple[UserProfile, ...]
-    user_ids: tuple[str, ...]
-    user_code: np.ndarray  # intp, one per user
-    skill_count: np.ndarray  # int64, one per profile
-    jobs: tuple[JobRecord, ...]
-    user: np.ndarray  # intp
-    job_key: np.ndarray  # intp
-    job_keys: tuple[JobKey, ...]
-    org_key: np.ndarray  # intp
-    org_keys: tuple[OrgJobKey, ...]
-    org: np.ndarray  # intp
-    orgs: tuple[str, ...]
-    start: np.ndarray  # int64
-    end: np.ndarray  # int64
-    work_exp: np.ndarray  # int64
-    drops: StintDrops
-    negative_experience_jobs: int
-
-    @classmethod
-    def of(
-        cls, profiles: "Iterable[UserProfile] | StintTable", curr_date: DateMonth
-    ) -> "StintTable":
-        """The table of the profiles' usable stints; a table is returned as is.
-
-        One usable_jobs pass over the profiles. A StintTable built for
-        another analysis date raises ValueError.
-        """
-        if isinstance(profiles, StintTable):
-            if profiles.curr_date != curr_date:
-                raise ValueError(
-                    f"stint table is for {profiles.curr_date}, not the analysis date {curr_date}"
-                )
-            return profiles
-        profiles = tuple(profiles)
-        drops = StintDrops()
-        jobs: list[JobRecord] = []
-        per_user = []
-        for p in profiles:
-            kept = usable_jobs(p, curr_date, drops)
-            jobs += kept
-            per_user.append(len(kept))
-        user = np.repeat(np.arange(len(profiles)), per_user)
-        now = curr_date.ordinal
-        end = _column(now if e is None else e.ordinal for e in map(attrgetter("end"), jobs))
-        grad = [p.grad_date for p in profiles]
-        has_grad = np.fromiter((g is not None for g in grad), bool, len(grad))
-        grad_month = _column(0 if g is None else g.ordinal for g in grad)
-        months = end - grad_month[user]
-        defined = has_grad[user] & (months >= 0)
-        return _stint_table(
-            curr_date,
-            profiles,
-            tuple(p.user_id for p in profiles),
-            _column(len(p.skills) for p in profiles),
-            jobs,
-            user,
-            end,
-            np.where(defined, months, NO_EXPERIENCE),
-            drops,
-            int(np.count_nonzero(has_grad[user] & (months < 0))),
-        )
-
-    @classmethod
-    def of_endpoints(cls, user_ids: Sequence[str], jobs: Sequence[JobRecord]) -> "StintTable":
-        """A table of hop endpoints: row r is jobs[r], held by user_ids[r].
-
-        Users are the distinct ids in order of first appearance.
-        """
-        user, ids = _codes(list(user_ids))
-        end = _column(-1 if e is None else e.ordinal for e in map(attrgetter("end"), jobs))
-        return _stint_table(
-            None, (), ids, _column(()), list(jobs), user, end,
-            np.full(len(jobs), NO_EXPERIENCE, np.int64), StintDrops(), 0,
-        )
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    def ends_at(self, curr_date: DateMonth) -> np.ndarray:
-        """Each row's end ordinal with an open end resolved to curr_date."""
-        if curr_date == self.curr_date:
-            return self.end
-        return _column(j.end_or(curr_date).ordinal for j in self.jobs)
-
-
-def _column(values: Iterable[int]) -> np.ndarray:
-    return np.fromiter(values, np.int64)
-
-
-def _codes(values: list) -> tuple[np.ndarray, tuple]:
-    """(code per value, distinct values): codes number values by first appearance."""
-    distinct = tuple(dict.fromkeys(values))
-    ids = dict(zip(distinct, range(len(distinct))))
-    return np.fromiter(map(ids.__getitem__, values), np.intp, len(values)), distinct
-
-
-def _stint_table(
-    curr_date, profiles, user_ids, skill_count, jobs, user, end, work_exp, drops, negative
-) -> StintTable:
-    user_code, _ = _codes(list(user_ids))
-    job_key, job_keys = _codes([j.key for j in jobs])
-    org_key, org_keys = _codes([j.org_key for j in jobs])
-    org, orgs = _codes([j.organization for j in jobs])
-    start = _column(j.start.ordinal for j in jobs)
-    arrays = (user_code, skill_count, user, job_key, org_key, org, start, end, work_exp)
-    for a in arrays:
-        a.flags.writeable = False
-    return StintTable(
-        curr_date, profiles, user_ids, user_code, skill_count, tuple(jobs), user,
-        job_key, job_keys, org_key, org_keys, org, orgs, start, end, work_exp, drops, negative,
-    )
-
-
 class RowViews(Sequence):
     """A read-only sequence of objects built on demand from table rows.
 
@@ -349,6 +182,412 @@ class RowViews(Sequence):
         if not isinstance(other, Sequence) or isinstance(other, str):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+NO_DATE = -1  # a ProfileTable month column where there is no date
+
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class ProfileTable(RowViews):
+    """Profiles as id-coded integer columns; a read-only Sequence[UserProfile].
+
+    Labels are ids into labels and dates are month ordinals. Per user u, in
+    the profiles' order: user_id[u]; user_code[u], equal for equal ids;
+    grad[u], the latest graduation or NO_DATE; education[u], the education
+    entry count; and the skill ids skill[skill_start[u]:skill_start[u + 1]].
+    Per job row r, profile by profile in listing order: user[r], the title,
+    organization and industry ids, start[r], and end[r] or NO_DATE while the
+    job is held; user u's rows are job_start[u]:job_start[u + 1].
+
+    Indexing builds a UserProfile view and job(r) a JobRecord view, each only
+    when read. Views share the table's label strings and the DateMonth
+    objects in months; a table packed from objects (of) hands back their own
+    JobRecords. The first iteration over the table keeps the views it built,
+    so iterating again costs what it costs over a list. The arrays are
+    read-only.
+    """
+
+    labels: tuple[str, ...]
+    user_id: tuple[str, ...]
+    user_code: np.ndarray  # intp
+    grad: np.ndarray  # int64
+    education: np.ndarray  # int64
+    skill_start: np.ndarray  # intp, one more than there are users
+    skill: np.ndarray  # intp
+    user: np.ndarray  # intp, ascending
+    title: np.ndarray  # intp
+    organization: np.ndarray  # intp
+    industry: np.ndarray  # intp
+    start: np.ndarray  # int64
+    end: np.ndarray  # int64
+    months: Mapping[int, DateMonth] = field(default_factory=dict)
+    job_objects: tuple[JobRecord, ...] | None = None  # per job row, when packed
+    job_start: np.ndarray = field(init=False)
+    _views: tuple[UserProfile, ...] | None = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "job_start", _offsets(np.bincount(self.user, minlength=len(self.user_id)))
+        )
+        for a in (self.user_code, self.grad, self.education, self.skill_start, self.skill,
+                  self.user, self.title, self.organization, self.industry, self.start,
+                  self.end, self.job_start):
+            a.flags.writeable = False
+
+    @classmethod
+    def of(cls, profiles: Iterable[UserProfile]) -> "ProfileTable":
+        """The profiles as a table; a ProfileTable is returned as is.
+
+        UserProfile objects are packed into the columns, their labels coded
+        as they are. A date before year 0 raises ValueError.
+        """
+        if isinstance(profiles, ProfileTable):
+            return profiles
+        profiles = tuple(profiles)
+        return cls._pack(
+            [p.user_id for p in profiles],
+            [p.grad_date for p in profiles],
+            [p.education_entries for p in profiles],
+            [p.skills for p in profiles],
+            [p.jobs for p in profiles],
+        )
+
+    @classmethod
+    def _pack(cls, user_ids, grads, educations, skills, jobs) -> "ProfileTable":
+        ids: dict[str, int] = {}
+
+        def code(labels: Iterable[str]) -> np.ndarray:
+            return np.fromiter((ids.setdefault(s, len(ids)) for s in labels), np.intp)
+
+        rows = tuple(chain.from_iterable(jobs))
+        skill = code(chain.from_iterable(skills))
+        title = code(j.title for j in rows)
+        organization = code(j.organization for j in rows)
+        industry = code(j.industry for j in rows)
+        return cls(
+            tuple(ids),
+            tuple(user_ids),
+            _codes(list(user_ids))[0],
+            _ordinals(grads),
+            _column(educations),
+            _offsets(_column(map(len, skills))),
+            skill,
+            np.repeat(np.arange(len(user_ids)), _column(map(len, jobs))),
+            title,
+            organization,
+            industry,
+            _ordinals([j.start for j in rows]),
+            _ordinals([j.end for j in rows]),
+            job_objects=rows,
+        )
+
+    def __len__(self) -> int:
+        return len(self.user_id)
+
+    @property
+    def skill_count(self) -> np.ndarray:
+        return np.diff(self.skill_start)
+
+    @property
+    def is_active(self) -> np.ndarray:
+        """Per user, UserProfile.is_active: an education entry and a skill."""
+        return (self.education >= 1) & (self.skill_count >= 1)
+
+    def month(self, ordinal: int) -> DateMonth:
+        return self.months.get(ordinal) or DateMonth(ordinal // 12, ordinal % 12 + 1)
+
+    def job(self, r: int) -> JobRecord:
+        """Job row r as a JobRecord."""
+        if self.job_objects is not None:
+            return self.job_objects[r]
+        labels = self.labels
+        end = self.end[r].item()
+        return JobRecord(
+            title=labels[self.title[r]],
+            organization=labels[self.organization[r]],
+            industry=labels[self.industry[r]],
+            start=self.month(self.start[r].item()),
+            end=None if end == NO_DATE else self.month(end),
+        )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return (np.arange(len(self)),)
+
+    def __iter__(self) -> Iterator[UserProfile]:
+        if self._views is None:
+            object.__setattr__(self, "_views", tuple(map(self._view, range(len(self)))))
+        return iter(self._views)
+
+    def _view(self, u: int) -> UserProfile:
+        if self._views is not None:
+            return self._views[u]
+        grad = self.grad[u].item()
+        first, last = self.skill_start[u : u + 2].tolist()
+        return UserProfile(
+            user_id=self.user_id[u],
+            grad_date=None if grad == NO_DATE else self.month(grad),
+            skills=frozenset(map(self.labels.__getitem__, self.skill[first:last].tolist())),
+            education_entries=self.education[u].item(),
+            jobs=tuple(map(self.job, range(*self.job_start[u : u + 2].tolist()))),
+        )
+
+    def take(self, keep: np.ndarray) -> "ProfileTable":
+        """The users where the bool mask keep is set, in order, with their jobs."""
+        users = np.flatnonzero(keep)
+        rows = np.flatnonzero(keep[self.user])
+        skill_count = self.skill_count
+        return ProfileTable(
+            self.labels,
+            tuple(map(self.user_id.__getitem__, users.tolist())),
+            self.user_code[users],
+            self.grad[users],
+            self.education[users],
+            _offsets(skill_count[users]),
+            self.skill[np.repeat(keep, skill_count)],
+            (np.cumsum(keep) - 1)[self.user[rows]],
+            self.title[rows],
+            self.organization[rows],
+            self.industry[rows],
+            self.start[rows],
+            self.end[rows],
+            self.months,
+            None if self.job_objects is None
+            else tuple(map(self.job_objects.__getitem__, rows.tolist())),
+        )
+
+    def __repr__(self) -> str:
+        return f"ProfileTable({len(self)} profiles, {len(self.user)} jobs)"
+
+
+@dataclass
+class StintDrops:
+    """Stint counts by reason: the stints usable_stints left out, and the
+    usable ones that ended before graduation, which only the work-experience
+    aggregates leave out."""
+
+    future_jobs: int = 0  # starts after the analysis date
+    invalid_period_jobs: int = 0  # ends before it starts
+    negative_experience_jobs: int = 0  # usable, but ended before graduation
+
+    def add(self, other: "StintDrops") -> None:
+        self.future_jobs += other.future_jobs
+        self.invalid_period_jobs += other.invalid_period_jobs
+        self.negative_experience_jobs += other.negative_experience_jobs
+
+
+def usable_stints(
+    start: np.ndarray, end: np.ndarray, curr_date: DateMonth, drops: StintDrops
+) -> np.ndarray:
+    """The one rule for which stints count: a mask over start/end ordinals.
+
+    A stint counts when it starts no later than the analysis date and does
+    not end before it starts (an open end, NO_DATE, resolves to the analysis
+    date). Every stage reads stints through here, by way of StintTable. The
+    stints left out are counted in drops; one that fails both tests counts
+    as a future start.
+    """
+    now = curr_date.ordinal
+    future = start > now
+    invalid = (np.where(end == NO_DATE, now, end) < start) & ~future
+    drops.future_jobs += int(np.count_nonzero(future))
+    drops.invalid_period_jobs += int(np.count_nonzero(invalid))
+    return ~(future | invalid)
+
+
+def usable_jobs(
+    profile: UserProfile, curr_date: DateMonth, drops: StintDrops | None = None
+) -> list[JobRecord]:
+    """The profile's stints that count (see usable_stints), in listing order.
+
+    The stint counts of StintTable.drops are added to drops when given.
+    """
+    stints = StintTable.of([profile], curr_date)
+    if drops is not None:
+        drops.add(stints.drops)
+    return list(map(stints.job, range(len(stints))))
+
+
+NO_EXPERIENCE = -1  # StintTable.work_exp where work experience is undefined
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class StintTable:
+    """The usable stints of a profile table at one analysis date, as columns.
+
+    Row r is job row rows[r] of the ProfileTable source, held by user
+    user[r] of that table, so that user_ids, user_code and skill_count are
+    the source's. job_key, org_key and org index the distinct job_keys,
+    org_keys and orgs, numbered in order of first appearance. start and end
+    are month ordinals, an open end resolved to curr_date. work_exp is the
+    months from the user's graduation to the end, or NO_EXPERIENCE without a
+    graduation date or when the stint ended before it. Rows keep listing
+    order, profile by profile. drops counts the stints usable_stints left
+    out and the usable ones that ended before graduation.
+
+    A table of hop endpoints has no curr_date: its source holds one
+    single-job user per endpoint, every endpoint is a row, open ends read
+    NO_DATE and work_exp is NO_EXPERIENCE throughout. The arrays are
+    read-only.
+    """
+
+    curr_date: DateMonth | None
+    source: ProfileTable
+    rows: np.ndarray  # intp
+    user: np.ndarray  # intp
+    job_key: np.ndarray  # intp
+    job_keys: tuple[JobKey, ...]
+    org_key: np.ndarray  # intp
+    org_keys: tuple[OrgJobKey, ...]
+    org: np.ndarray  # intp
+    orgs: tuple[str, ...]
+    start: np.ndarray  # int64
+    end: np.ndarray  # int64
+    work_exp: np.ndarray  # int64
+    drops: StintDrops
+
+    @classmethod
+    def of(
+        cls, profiles: "Iterable[UserProfile] | StintTable", curr_date: DateMonth
+    ) -> "StintTable":
+        """The table of the profiles' usable stints; a table is returned as is.
+
+        profiles may be a ProfileTable or UserProfile objects, which are
+        packed into one (ProfileTable.of). One usable_stints pass over all
+        their jobs. A StintTable built for another analysis date raises
+        ValueError.
+        """
+        if isinstance(profiles, StintTable):
+            if profiles.curr_date != curr_date:
+                raise ValueError(
+                    f"stint table is for {profiles.curr_date}, not the analysis date {curr_date}"
+                )
+            return profiles
+        source = ProfileTable.of(profiles)
+        drops = StintDrops()
+        rows = np.flatnonzero(usable_stints(source.start, source.end, curr_date, drops))
+        end = source.end[rows]
+        end = np.where(end == NO_DATE, curr_date.ordinal, end)
+        grad = source.grad[source.user[rows]]
+        has_grad = grad != NO_DATE
+        months = end - grad
+        drops.negative_experience_jobs = int(np.count_nonzero(has_grad & (months < 0)))
+        work_exp = np.where(has_grad & (months >= 0), months, NO_EXPERIENCE)
+        return _stint_table(curr_date, source, rows, end, work_exp, drops)
+
+    @classmethod
+    def of_endpoints(cls, user_ids: Sequence[str], jobs: Sequence[JobRecord]) -> "StintTable":
+        """A table of hop endpoints: row r is jobs[r], held by user_ids[r]."""
+        n = len(jobs)
+        source = ProfileTable._pack(user_ids, [None] * n, [0] * n, [()] * n, [(j,) for j in jobs])
+        return _stint_table(
+            None, source, np.arange(n), source.end, np.full(n, NO_EXPERIENCE, np.int64),
+            StintDrops(),
+        )
+
+    @property
+    def user_ids(self) -> tuple[str, ...]:
+        return self.source.user_id
+
+    @property
+    def user_code(self) -> np.ndarray:
+        return self.source.user_code
+
+    @property
+    def skill_count(self) -> np.ndarray:
+        return self.source.skill_count
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def job(self, r: int) -> JobRecord:
+        """Stint r as a JobRecord (see ProfileTable.job)."""
+        return self.source.job(self.rows[r])
+
+    def ends_at(self, curr_date: DateMonth) -> np.ndarray:
+        """Each row's end ordinal with an open end resolved to curr_date."""
+        if curr_date == self.curr_date:
+            return self.end
+        end = self.source.end[self.rows]
+        return np.where(end == NO_DATE, curr_date.ordinal, end)
+
+
+def _column(values: Iterable[int]) -> np.ndarray:
+    return np.fromiter(values, np.int64)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of the runs of the given lengths starts, and the total."""
+    out = np.zeros(len(counts) + 1, np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ordinals(dates: Sequence[DateMonth | None]) -> np.ndarray:
+    """Month ordinals, NO_DATE for None; a date before year 0 raises ValueError."""
+    out = _column(NO_DATE if d is None else d.ordinal for d in dates)
+    if np.count_nonzero(out <= NO_DATE) != sum(d is None for d in dates):
+        raise ValueError("dates before year 0 are not supported")
+    return out
+
+
+def _codes(values: list) -> tuple[np.ndarray, tuple]:
+    """(code per value, distinct values): codes number values by first appearance."""
+    distinct = tuple(dict.fromkeys(values))
+    ids = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(ids.__getitem__, values), np.intp, len(values)), distinct
+
+
+def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code per value, index of each code's first value) for an int array.
+
+    Codes number the distinct values in order of first appearance. A stable
+    sort stands in for np.unique (see groups).
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(len(values), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    first = order[new]  # stable: the first index of each distinct value
+    rank = np.empty(len(first), np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    codes = np.empty(len(values), np.intp)
+    codes[order] = rank[np.cumsum(new) - 1]
+    return codes, np.sort(first)
+
+
+def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
+    width = len(source.labels)
+    title = source.title[rows]
+    industry = source.industry[rows]
+    organization = source.organization[rows]
+    job_key, job_first = _first_appearance(title * width + industry)
+    org_key, org_key_first = _first_appearance(title * width + organization)
+    org, org_first = _first_appearance(organization)
+
+    def labels(ids: np.ndarray) -> Iterator[str]:
+        return map(source.labels.__getitem__, ids.tolist())
+
+    user = source.user[rows]
+    start = source.start[rows]
+    for a in (rows, user, job_key, org_key, org, start, end, work_exp):
+        a.flags.writeable = False
+    return StintTable(
+        curr_date,
+        source,
+        rows,
+        user,
+        job_key,
+        tuple(map(JobKey, labels(title[job_first]), labels(industry[job_first]))),
+        org_key,
+        tuple(map(OrgJobKey, labels(title[org_key_first]), labels(organization[org_key_first]))),
+        org,
+        tuple(labels(organization[org_first])),
+        start,
+        end,
+        work_exp,
+        drops,
+    )
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:

@@ -257,15 +257,18 @@ def centrality_tables(graph: HopGraph, config: AnalysisConfig) -> list[Centralit
 
 
 def write_all_reports(
-    profiles: list[UserProfile],
+    profiles: Iterable[UserProfile],
     config: AnalysisConfig,
     out_dir: str | Path,
     drops: StintDrops | None = None,
+    unconverged: list[GraphLevel] | None = None,
 ) -> list[Path]:
     """Run the full pipeline on ingested profiles and write all nine reports.
 
-    The active profiles' stints are read once, into one StintTable that
-    every stage shares; the stints it drops are added to drops when given.
+    profiles is a ProfileTable or UserProfile objects. The active profiles'
+    stints are read once, into one StintTable that every stage shares; its
+    stint counts are added to drops when given. The graph levels whose
+    PageRank hit pagerank_max_iter are appended to unconverged when given.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -276,19 +279,18 @@ def write_all_reports(
         drops.add(stints.drops)
     hops, _diag = extract_all_hops(stints, config)
     index = CorpusIndex.build(stints, config)
-    by_id = {p.user_id: p for p in active}
 
     crosses = [
         (
             "work_exp_x_job_age",
             external_hop_fraction(
-                hops, [CohortAxis.WORK_EXP, CohortAxis.JOB_AGE], index, by_id
+                hops, [CohortAxis.WORK_EXP, CohortAxis.JOB_AGE], index, active
             ),
         ),
         (
             "work_exp_x_skill_count",
             external_hop_fraction(
-                hops, [CohortAxis.WORK_EXP, CohortAxis.SKILL_COUNT], index, by_id
+                hops, [CohortAxis.WORK_EXP, CohortAxis.SKILL_COUNT], index, active
             ),
         ),
     ]
@@ -300,6 +302,10 @@ def write_all_reports(
     org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=stints)
     job_tables = centrality_tables(job_graph, config)
     org_tables = centrality_tables(org_graph, config)
+    if unconverged is not None:
+        for level, tables in ((GraphLevel.JOB, job_tables), (GraphLevel.ORG, org_tables)):
+            if not all(t.converged for t in tables):
+                unconverged.append(level)
 
     written = [
         write_distributions(stints, config, out_dir / "distributions.csv"),

@@ -54,6 +54,24 @@ def test_hops_csv_schema(corpus, tmp_path):
     assert all(r[7] in ("internal", "external") for r in rows[1:])
 
 
+def test_hops_csv_rows_are_the_hop_views(corpus, tmp_path):
+    from talentflow.hops import extract_all_hops
+    from talentflow.ingest import filter_active, ingest_profiles
+    from talentflow.model import AnalysisConfig, DateMonth
+
+    out = tmp_path / "hops.csv"
+    assert main(["hops", "--input", str(corpus), "--curr-date", "2014-01", "--out", str(out)]) == 0
+    active = filter_active(ingest_profiles(corpus)[0])
+    hops, _ = extract_all_hops(active, AnalysisConfig(curr_date=DateMonth(2014, 1)))
+    assert len(hops) > 0
+    assert read_csv(out)[1:] == [
+        [h.user_id, h.source.title, h.source.organization, h.source.industry,
+         h.dest.title, h.dest.organization, h.dest.industry, h.kind.value,
+         str(h.duration_of_stay_months)]
+        for h in hops
+    ]
+
+
 def write_two_dropped_stints(tmp_path):
     """A one-profile corpus: one reversed stint, and one starting after 2012-01."""
     jobs = [
@@ -84,6 +102,81 @@ def test_report_all_notes_both_drop_reasons(tmp_path, capsys):
     assert main(["report-all", "--input", str(corpus), "--curr-date", "2014-01",
                  "--out-dir", str(tmp_path / "later")]) == 0
     assert "skipped 0 jobs starting after 2014-01 and 1 jobs" in capsys.readouterr().err
+
+
+def test_hops_and_report_all_note_jobs_ending_before_graduation(tmp_path, capsys):
+    jobs = [
+        {"title": "a", "organization": "x", "industry": "i", "start": "2004-01", "end": "2006-01"},
+        {"title": "b", "organization": "y", "industry": "i", "start": "2007-01", "end": None},
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"user_id": "u1", "grad_date": "2006-06", "education_count": 1,
+                                  "skills": ["s"], "jobs": jobs}) + "\n", encoding="utf-8")
+    note = "1 usable jobs ended before graduation; they have no work experience\n"
+    assert main(["hops", "--input", str(corpus), "--out", str(tmp_path / "hops.csv")]) == 0
+    assert capsys.readouterr().err == note
+    assert main(["report-all", "--input", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == note
+
+
+def test_report_all_warns_once_per_unconverged_pagerank(corpus, tmp_path, monkeypatch, capsys):
+    from functools import partial
+
+    from talentflow import cli
+    from talentflow.model import AnalysisConfig
+
+    assert main(["report-all", "--input", str(corpus), "--out-dir", str(tmp_path / "a")]) == 0
+    assert "pagerank" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "AnalysisConfig", partial(AnalysisConfig, pagerank_max_iter=1))
+    assert main(["report-all", "--input", str(corpus), "--out-dir", str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: pagerank hit max iterations before converging (job graph)",
+        "warning: pagerank hit max iterations before converging (org graph)",
+    ]
+
+
+def degenerate_corpus(tmp_path, kind):
+    job = {"title": "a", "organization": "x", "industry": "i", "start": "2010-01", "end": None}
+    record = {"user_id": "u1", "grad_date": "2009-06", "education_count": 1, "skills": ["s"],
+              "jobs": [job]}
+    lines = {
+        "empty": [],
+        "malformed": ["{not json", json.dumps({**record, "education_count": -1}), "[]"],
+        "inactive": [json.dumps({**record, "skills": []}),
+                     json.dumps({**record, "user_id": "u2", "education_count": 0})],
+    }[kind]
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+LOADING_COMMANDS = [
+    ["hops", "--out", "o.csv"],
+    ["metrics", "cohorts", "--out", "o.csv"],
+    ["metrics", "levels", "--out", "o.csv"],
+    ["metrics", "promotions", "--out", "o.csv"],
+    ["metrics", "stay", "--out", "o.csv"],
+    ["graph", "build", "--level", "job", "--out", "o.csv"],
+    ["graph", "analyze", "--level", "org", "--metric", "pagerank", "--out", "o.csv"],
+    ["graph", "components", "--level", "job"],
+    ["graph", "powerlaw", "--level", "job", "--metric", "indegree"],
+    ["report-all", "--out-dir", "out"],
+]
+
+
+@pytest.mark.parametrize("kind", ["empty", "malformed", "inactive"])
+def test_no_active_profile_fails_every_loading_command(tmp_path, capsys, kind):
+    corpus = degenerate_corpus(tmp_path, kind)
+    for command in LOADING_COMMANDS:
+        args = [a if a not in ("o.csv", "out") else str(tmp_path / a) for a in command]
+        for date in ([], ["--curr-date", "2015-01"]):
+            assert main(args + ["--input", str(corpus)] + date) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ValueError: no active profiles in ")
+            assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
+    assert main(["ingest", "--input", str(corpus)]) == 0
+    assert "active_records: 0" in capsys.readouterr().out
 
 
 def test_metrics_cohorts(corpus, tmp_path):

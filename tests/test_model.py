@@ -1,4 +1,6 @@
 import random
+import re
+import string
 from dataclasses import replace
 
 import pytest
@@ -72,6 +74,32 @@ def test_normalize_label_idempotent(raw):
     except InvalidLabelError:
         return
     assert normalize_label(once) == once
+
+
+def ref_normalize_label(raw):
+    """normalize_label as a regex, the definition it must keep."""
+    label = re.sub(r"\s+", " ", raw.strip()).translate(
+        str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
+    )
+    if not label:
+        raise InvalidLabelError(f"label empty after normalization: {raw!r}")
+    return label
+
+
+# Unicode whitespace (including separators \x1c-\x1f, NEL, NBSP, U+2028)
+# and letters whose case str.lower() would change outside ASCII.
+LABEL_CHARS = st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2000\u2028\u3000aZÑñİKǅé-")
+
+
+@given(st.one_of(st.text(LABEL_CHARS, max_size=20), st.text(max_size=30)))
+def test_normalize_label_equals_the_regex_definition(raw):
+    try:
+        want = ref_normalize_label(raw)
+    except InvalidLabelError as exc:
+        with pytest.raises(InvalidLabelError, match=re.escape(str(exc))):
+            normalize_label(raw)
+        return
+    assert normalize_label(raw) == want
 
 
 def test_normalize_is_ascii_only_folding():

@@ -469,26 +469,49 @@ def test_empty_result_and_read_only_columns():
         extract_all_hops(stints, config("2015-06"))
 
 
+def counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def count_constructions(monkeypatch, calls, *classes):
+    for cls in classes:
+        monkeypatch.setattr(cls, "__init__", counting(calls, cls.__name__, cls.__init__))
+
+
 def test_write_all_reports_reads_each_profile_once_and_builds_no_objects(tmp_path, monkeypatch):
+    # Ingest fills the profile table's columns and the stint rule runs once,
+    # as one mask over all of them: no stage builds a profile, job, hop or
+    # level-gain object.
     spec = GeneratorSpec(seed=5, n_users=300)
     generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
-    profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(model, "usable_jobs", counting("usable_jobs", model.usable_jobs))
-    monkeypatch.setattr(Hop, "__init__", counting("Hop", Hop.__init__))
-    monkeypatch.setattr(LevelGainRecord, "__init__", counting("LevelGainRecord",
-                                                              LevelGainRecord.__init__))
+    monkeypatch.setattr(model, "usable_stints", counting(calls, "usable_stints",
+                                                         model.usable_stints))
+    count_constructions(monkeypatch, calls, UserProfile, JobRecord, Hop, LevelGainRecord)
+    profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
     drops = StintDrops()
     reports.write_all_reports(profiles, config(str(spec.curr_date)), tmp_path / "out", drops)
-    assert calls == Counter(usable_jobs=len(filter_active(profiles)))
+    assert calls == Counter(usable_stints=1)
+    assert len(filter_active(profiles)) > 0 and drops.future_jobs == 0
+
+
+def test_graph_sweep_support_reads_the_hops_own_stints(tmp_path, monkeypatch):
+    # graph_sweep's call shape: hops and profiles= from the same active table.
+    spec = GeneratorSpec(seed=5, n_users=300)
+    generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
+    active = filter_active(ingest_profiles(tmp_path / "c.jsonl")[0])
+    cfg = config(str(spec.curr_date))
+    hops, _ = extract_all_hops(active, cfg)
+    want = {level: build_graph(hops, level, cfg, profiles=list(active)) for level in GraphLevel}
+    calls = Counter()
+    count_constructions(monkeypatch, calls, StintTable, UserProfile, JobRecord)
+    for level in GraphLevel:
+        assert build_graph(hops, level, cfg, profiles=active) == want[level]
+    assert calls == Counter()
 
 
 NUMPY_MA_PROBE = """
