@@ -27,7 +27,7 @@ from .graphalgo import (
     weighted_pagerank,
 )
 from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph
-from .hops import HopKind, extract_all_hops
+from .hops import extract_all_hops
 from .ingest import filter_active, ingest_profiles
 from .metrics import (
     CohortAxis,
@@ -110,19 +110,12 @@ def _cmd_ingest(args) -> int:
 def _cmd_hops(args) -> int:
     active, config = _load(args)
     hops, diag = extract_all_hops(active, config)
-    stints = hops.stints
-    profiles = stints.source
-
-    def labels(column, ends):  # each hop's label at one end, read off the columns
-        return map(profiles.labels.__getitem__, column[stints.rows[ends]].tolist())
-
-    rows = zip(
-        map(stints.user_ids.__getitem__, hops.user.tolist()),
-        *(labels(c, hops.src) for c in (profiles.title, profiles.organization, profiles.industry)),
-        *(labels(c, hops.dst) for c in (profiles.title, profiles.organization, profiles.industry)),
-        [(HopKind.EXTERNAL if e else HopKind.INTERNAL).value for e in hops.external.tolist()],
-        hops.stay.tolist(),
-    )
+    rows = [
+        [h.user_id, h.source.title, h.source.organization, h.source.industry,
+         h.dest.title, h.dest.organization, h.dest.industry,
+         h.kind.value, h.duration_of_stay_months]
+        for h in hops
+    ]
     reports.write_rows(
         Path(args.out),
         ["user_id", "src_title", "src_org", "src_industry",

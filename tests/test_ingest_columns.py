@@ -11,6 +11,8 @@ with ties.
 """
 
 import json
+import random
+import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
 
@@ -36,6 +38,7 @@ from talentflow.model import (
     StintTable,
     UserProfile,
 )
+from helpers import random_profile
 from test_model import ref_normalize_label
 
 
@@ -363,3 +366,37 @@ def test_columns_are_read_only(tmp_path):
             assert isinstance(column, np.ndarray)
             with pytest.raises(ValueError):
                 column[0] = 1
+
+
+def test_positions_read_like_a_list():
+    rng = random.Random(5)
+    objects = [random_profile(rng, f"u{k}") for k in range(300)]
+    table = ProfileTable.of(objects)
+    n = len(objects)
+    assert table[-1] == table[n - 1] == objects[-1]
+    assert table[-n] == table[0] == objects[0]
+    assert list(reversed(table)) == objects[::-1]
+    for cut in (slice(10, 20, 3), slice(None, None, -1), slice(-5, None), slice(n, None)):
+        assert table[cut] == objects[cut]
+    assert table.index(objects[-1]) == n - 1
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            table[outside]
+
+
+def test_one_position_costs_no_pass_over_the_table():
+    n = 200_000
+    no_jobs = np.zeros(0, np.intp)
+    table = ProfileTable(
+        ("s",), tuple(map(str, range(n))), np.arange(n), np.full(n, -1), np.ones(n, np.int64),
+        np.arange(n + 1), np.zeros(n, np.intp), no_jobs, no_jobs, no_jobs, no_jobs,
+        no_jobs.astype(np.int64), no_jobs.astype(np.int64),
+    )
+    tracemalloc.start()
+    try:
+        last = table[-1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert last.user_id == str(n - 1)
+    assert peak < 64 * 1024  # a per-user column of this table is 1.6 MB
