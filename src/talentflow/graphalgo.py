@@ -11,6 +11,11 @@ summarized as complementary CDFs and by a discrete maximum-likelihood
 power-law fit with a KS-minimizing tail cutoff. The fit's Hurwitz zeta
 sums come from a numpy Euler-Maclaurin kernel, scaled by xmin^alpha so
 that steep tails cannot underflow; numpy is the only runtime dependency.
+The cutoff search is exact but pruned: a few deviations per cutoff give a
+lower bound on its KS distance, and cutoffs are scored in full in bound
+order only until the next bound exceeds the best distance found, so it
+returns the fit a scan of every (cutoff, tail value) pair would, ties
+going to the smallest xmin, while scoring a fraction of the pairs.
 
 Every analytic reads the integer index a HopGraph computes once when it is
 built (hopgraph.GraphIndex): degrees are bincounts over its edge ids,
@@ -276,6 +281,7 @@ _EULER_MACLAURIN = (
     -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
 )
 _KS_BLOCK_PAIRS = 1 << 14  # bounds the memory of fit_power_law's KS scan
+_KS_SAMPLE = 16  # tail values per cutoff in the scan's lower bounds
 
 
 def _hurwitz_zeta_scaled(s: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -304,6 +310,12 @@ def _hurwitz_zeta_scaled(s: np.ndarray, q: np.ndarray, m: np.ndarray) -> np.ndar
     return total
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """[lo, hi) spans of at most _KS_BLOCK_PAIRS covering range(n)."""
+    step = _KS_BLOCK_PAIRS
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
     """Fit a discrete power law to positive integer values.
 
@@ -316,6 +328,17 @@ def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
     order, up to the first that leaves fewer than min_tail points; one with a
     single-valued tail or alpha <= 1 is rejected, and on a KS tie the
     smallest xmin wins. If no cutoff remains, raises InsufficientTailError.
+
+    The KS distances come from a pruned search that returns the same fit as
+    scoring every (cutoff, distinct tail value) pair. First, each cutoff's
+    deviation |empirical - model CDF| is taken at _KS_SAMPLE of its distinct
+    tail values, the first and evenly spaced ones: their maximum is a lower
+    bound on its KS distance, and the exact distance when the sample is its
+    whole tail. Then cutoffs are scanned in ascending bound order (ties by
+    xmin) and scored in full until the next bound exceeds the best KS found:
+    every cutoff left has a KS distance above the best, so cannot win or tie.
+    A deviation is the same float in both passes (the same elementwise
+    arithmetic on the same pair), so the bounds hold exactly.
     """
     xs = np.asarray(sorted(values), dtype=np.int64)
     if len(xs) == 0 or xs[0] < 1:
@@ -337,29 +360,60 @@ def fit_power_law(values: Sequence[int], min_tail: int = 10) -> PowerLawFit:
     if len(cut) == 0:
         raise InsufficientTailError("no candidate cutoff leaves a fittable tail")
 
-    # KS distance per cutoff over the (cutoff, distinct tail value) triangle,
-    # a block of pairs at a time: empirical vs model CDF at each tail value.
     xmin = distinct[cut].astype(np.float64)
-    norm = _hurwitz_zeta_scaled(alpha, xmin, xmin)
+    norm = np.concatenate([
+        _hurwitz_zeta_scaled(alpha[lo:hi], xmin[lo:hi], xmin[lo:hi])
+        for lo, hi in _blocks(len(cut))
+    ])
     upto = np.append(first[1:], len(xs))
-    row_start = np.concatenate([[0], np.cumsum(len(distinct) - cut)])
-    n_pairs = int(row_start[-1])
-    ks = np.zeros(len(cut))
-    for lo in range(0, n_pairs, _KS_BLOCK_PAIRS):
-        pair = np.arange(lo, min(lo + _KS_BLOCK_PAIRS, n_pairs))
-        row = np.searchsorted(row_start, pair, side="right") - 1
-        j, t = cut[row], cut[row] + pair - row_start[row]
-        emp_cdf = (upto[t] - first[j]) / n_tail[j]
-        tail_sum = _hurwitz_zeta_scaled(alpha[row], distinct[t] + 1.0, xmin[row])
-        dev = np.abs(emp_cdf - (1.0 - tail_sum / norm[row]))
-        heads = run_starts(row)
-        ks[row[heads]] = np.maximum(ks[row[heads]], np.maximum.reduceat(dev, heads))
+    width = len(distinct) - cut  # distinct tail values per cutoff
 
-    best = int(np.argmin(ks))  # the first minimum: smallest xmin on ties
+    def max_deviation(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Per row, the largest deviation at counts[i] of its distinct tail
+        values, spaced width/count apart from the first; a block of pairs at
+        a time, each row's maximum carried across blocks."""
+        row_start = np.concatenate([[0], np.cumsum(counts)])
+        n_pairs = int(row_start[-1])
+        out = np.zeros(len(rows))
+        for lo, hi in _blocks(n_pairs):
+            pair = np.arange(lo, hi)
+            i = np.searchsorted(row_start, pair, side="right") - 1
+            row = rows[i]
+            j = cut[row]
+            t = j + (pair - row_start[i]) * width[row] // counts[i]
+            emp_cdf = (upto[t] - first[j]) / n_tail[j]
+            tail_sum = _hurwitz_zeta_scaled(alpha[row], distinct[t] + 1.0, xmin[row])
+            dev = np.abs(emp_cdf - (1.0 - tail_sum / norm[row]))
+            heads = run_starts(i)
+            out[i[heads]] = np.maximum(out[i[heads]], np.maximum.reduceat(dev, heads))
+        return out
+
+    bound = max_deviation(np.arange(len(cut)), np.minimum(width, _KS_SAMPLE)).tolist()
+    cost = np.where(width > _KS_SAMPLE, width, 0).tolist()  # pairs left to score
+    order = sorted(range(len(cut)), key=bound.__getitem__)  # stable: ties by xmin
+    best, best_ks = -1, np.inf
+    pos = 0
+    while pos < len(order) and bound[order[pos]] <= best_ks:
+        # One cutoff while no KS is known, then as many of the next ones
+        # whose bounds do not exceed the best as one block of pairs holds.
+        end, n_pairs = pos + 1, cost[order[pos]]
+        while best >= 0 and end < len(order) and bound[order[end]] <= best_ks:
+            n_pairs += cost[order[end]]
+            if n_pairs > _KS_BLOCK_PAIRS:
+                break
+            end += 1
+        batch, pos = order[pos:end], end
+        ks = dict(zip(batch, map(bound.__getitem__, batch)))
+        rows = np.array([r for r in batch if cost[r]], dtype=np.intp)
+        ks.update(zip(rows.tolist(), max_deviation(rows, width[rows]).tolist()))
+        for r in batch:
+            if ks[r] < best_ks or (ks[r] == best_ks and r < best):
+                best, best_ks = r, ks[r]
+
     return PowerLawFit(
         alpha=float(alpha[best]),
         xmin=int(distinct[cut[best]]),
-        ks_statistic=float(ks[best]),
+        ks_statistic=best_ks,
         n_tail=int(n_tail[cut[best]]),
     )
 

@@ -269,11 +269,14 @@ def write_all_reports(
     stints are read once, into one StintTable that every stage shares; its
     stint counts are added to drops when given. The graph levels whose
     PageRank hit pagerank_max_iter are appended to unconverged when given.
+    Raises ValueError, before writing anything, when no profile is active.
     """
+    active = filter_active(profiles)
+    if not len(active):
+        raise ValueError("no active profiles: reports need one with an education entry and a skill")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    active = filter_active(profiles)
     stints = StintTable.of(active, config.curr_date)
     if drops is not None:
         drops.add(stints.drops)

@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,11 @@ from talentflow.graphalgo import (
     top_k,
     weighted_pagerank,
 )
-from talentflow.hopgraph import GraphLevel, HopGraph
+from talentflow.hopgraph import GraphLevel, HopGraph, build_graph
+from talentflow.hops import extract_all_hops
+from talentflow.ingest import filter_active, ingest_profiles
+from talentflow.model import run_starts
+from talentflow.synthgen import GeneratorSpec, generate
 from helpers import config
 
 
@@ -441,6 +446,169 @@ def test_steep_tail_does_not_underflow():
     assert math.isfinite(fit.ks_statistic)
     assert fit.ks_statistic < 0.1476
     assert fit.n_tail >= 10
+
+
+def full_scan_fit(values, min_tail=10):
+    """The batched scan over the whole (cutoff, distinct tail value) triangle
+    that the pruned search replaced; it reads the kernel and the block size
+    from graphalgo, as fit_power_law does."""
+    xs = np.asarray(sorted(values), dtype=np.int64)
+    if len(xs) == 0 or xs[0] < 1:
+        raise ValueError("values must be positive integers")
+    if len(xs) < min_tail:
+        raise InsufficientTailError(f"need at least {min_tail} values, got {len(xs)}")
+
+    log_xs = np.log(xs.astype(np.float64))
+    suffix_logsum = np.concatenate([np.cumsum(log_xs[::-1])[::-1], [0.0]])
+    first = run_starts(xs)
+    distinct = xs[first]
+    n_tail = len(xs) - first
+    n_cut = min(int(np.count_nonzero(n_tail >= min_tail)), len(distinct) - 1)
+    cut = np.arange(n_cut)
+    denom = suffix_logsum[first[cut]] - n_tail[cut] * np.log(distinct[cut] - 0.5)
+    cut = cut[denom > 0]
+    alpha = 1.0 + n_tail[cut] / denom[cut]
+    cut, alpha = cut[alpha > 1.0], alpha[alpha > 1.0]
+    if len(cut) == 0:
+        raise InsufficientTailError("no candidate cutoff leaves a fittable tail")
+
+    xmin = distinct[cut].astype(np.float64)
+    norm = graphalgo._hurwitz_zeta_scaled(alpha, xmin, xmin)
+    upto = np.append(first[1:], len(xs))
+    row_start = np.concatenate([[0], np.cumsum(len(distinct) - cut)])
+    n_pairs = int(row_start[-1])
+    ks = np.zeros(len(cut))
+    for lo in range(0, n_pairs, graphalgo._KS_BLOCK_PAIRS):
+        pair = np.arange(lo, min(lo + graphalgo._KS_BLOCK_PAIRS, n_pairs))
+        row = np.searchsorted(row_start, pair, side="right") - 1
+        j, t = cut[row], cut[row] + pair - row_start[row]
+        emp_cdf = (upto[t] - first[j]) / n_tail[j]
+        tail_sum = graphalgo._hurwitz_zeta_scaled(alpha[row], distinct[t] + 1.0, xmin[row])
+        dev = np.abs(emp_cdf - (1.0 - tail_sum / norm[row]))
+        heads = run_starts(row)
+        ks[row[heads]] = np.maximum(ks[row[heads]], np.maximum.reduceat(dev, heads))
+
+    best = int(np.argmin(ks))  # the first minimum: smallest xmin on ties
+    return PowerLawFit(
+        alpha=float(alpha[best]),
+        xmin=int(distinct[cut[best]]),
+        ks_statistic=float(ks[best]),
+        n_tail=int(n_tail[cut[best]]),
+    )
+
+
+def fit_outcome(fit, values, min_tail):
+    try:
+        return fit(values, min_tail)
+    except ValueError as exc:  # InsufficientTailError too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_pruned_equals_full_scan(values, min_tail, name=""):
+    """Equal fits, KS included, at the default block size and at 7 pairs.
+    The full scan's result does not depend on its block size."""
+    want = fit_outcome(full_scan_fit, values, min_tail)
+    assert fit_outcome(fit_power_law, values, min_tail) == want, name
+    with mock.patch.object(graphalgo, "_KS_BLOCK_PAIRS", 7):
+        assert fit_outcome(fit_power_law, values, min_tail) == want, (name, "7-pair blocks")
+
+
+@pytest.mark.parametrize("min_tail", [10, 3])
+def test_pruned_scan_equals_full_scan(min_tail):
+    for name, values in fit_parity_inputs():
+        assert_pruned_equals_full_scan(values, min_tail, name)
+
+
+def few_distinct_values():
+    """Lists of repeated values from a small drawn set (one or two values too)."""
+    return st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=0, max_size=400)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(st.integers(1, 60), max_size=300),
+        st.lists(st.integers(1, 10**6), max_size=300),
+        st.lists(st.integers(1, 40), min_size=1, max_size=40).map(lambda v: v * 8),
+        few_distinct_values(),
+    ),
+    min_tail=st.integers(1, 12),
+)
+def test_pruned_scan_equals_full_scan_on_drawn_values(values, min_tail):
+    assert_pruned_equals_full_scan(values, min_tail)
+
+
+@pytest.fixture(scope="module")
+def wide_corpus_pagerank_values(tmp_path_factory):
+    """PageRank ppm values, as `graph powerlaw` fits them, of a small corpus
+    of the benchmark's wide shape (40 industries x 10 titles x 25 orgs)."""
+    tmp = tmp_path_factory.mktemp("wide")
+    ladders = {f"sector {i:02d}": tuple(f"grade {r:02d}" for r in range(10)) for i in range(40)}
+    spec = GeneratorSpec(seed=17, n_users=1500, titles_per_industry=ladders, orgs_per_industry=25)
+    generate(spec, tmp / "c.jsonl", tmp / "t.json")
+    active = filter_active(ingest_profiles(tmp / "c.jsonl")[0])
+    hops, _ = extract_all_hops(active, config(str(spec.curr_date)))
+    out = []
+    for min_support in (1, 5):
+        cfg = config(str(spec.curr_date), min_support=min_support)
+        for level in GraphLevel:
+            graph = build_graph(hops, level, cfg, profiles=active)
+            scores = weighted_pagerank(graph, cfg).scores.values()
+            out.append((f"{level.value} min_support={min_support}", [max(1, round(s * 1e6)) for s in scores]))
+    return out
+
+
+def test_pruned_scan_equals_full_scan_on_pagerank_values(wide_corpus_pagerank_values):
+    for name, values in wide_corpus_pagerank_values:
+        assert len(set(values)) > 4 * graphalgo._KS_SAMPLE, name  # most cutoffs are pruned, not sampled whole
+        for min_tail in (10, 3):
+            assert_pruned_equals_full_scan(values, min_tail, name)
+
+
+def test_ks_ties_go_to_the_smallest_xmin_in_any_bound_order(monkeypatch):
+    # On 1..40 every cutoff's KS is 2^60, reached at one spiked tail value:
+    # the first for xmin 1, which the bounds sample, and the last for every
+    # other xmin, which they sample only for tails of at most _KS_SAMPLE
+    # values. So xmin 1's bound is the tie value, xmin 2..24 have bounds
+    # below it (not in xmin order), and xmin 1 is scored after all of them.
+    values = list(range(1, 41))
+    assert graphalgo._KS_SAMPLE < 30
+
+    def spiked(s, q, m):
+        q, m = np.broadcast_arrays(q, m)
+        return np.where(np.where(m == 1.0, q == 2.0, q == 41.0), 2.0**60, 1.0)
+
+    monkeypatch.setattr(graphalgo, "_hurwitz_zeta_scaled", spiked)
+    fit = fit_power_law(values)
+    assert (fit.xmin, fit.ks_statistic) == (1, 2.0**60)
+    assert_pruned_equals_full_scan(values, 10)
+
+
+def lognormal_values(n=700, seed=3):
+    """Positive integers with a lognormal body, like the benchmark's PageRank ppm values."""
+    return np.maximum(1, np.random.default_rng(seed).lognormal(7.0, 0.5, n)).astype(int).tolist()
+
+
+def test_pruned_scan_scores_a_fraction_of_the_triangle(monkeypatch):
+    values = lognormal_values()
+    assert 450 <= len(set(values)) <= 650
+    kernel = graphalgo._hurwitz_zeta_scaled
+    sizes = []
+
+    def counting(s, q, m):
+        sizes.append(np.broadcast(s, q, m).size)
+        return kernel(s, q, m)
+
+    monkeypatch.setattr(graphalgo, "_hurwitz_zeta_scaled", counting)
+    monkeypatch.setattr(graphalgo, "_KS_BLOCK_PAIRS", 64)
+    full = full_scan_fit(values)
+    triangle = sum(sizes)
+    sizes.clear()
+    assert fit_power_law(values) == full
+    assert max(sizes) <= 64
+    assert sum(sizes) <= triangle / 3
 
 
 # --- ccdf and top-k ---------------------------------------------------------------

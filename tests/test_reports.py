@@ -1,9 +1,12 @@
 import csv
 
+import pytest
+
 from talentflow.hops import HopKind
 from talentflow.metrics import promotion_summary
 from talentflow.reports import (
     fmt,
+    write_all_reports,
     write_distributions,
     write_level_gain_hist,
     write_promotion_table,
@@ -61,3 +64,15 @@ def test_promotion_table_totals_row(tmp_path):
     assert total[1:5] == ["2", "1", "1", "4"]
     assert float(total[5]) == 0.5
     assert internal[3] == "1"  # the neutral record
+
+
+@pytest.mark.parametrize("profiles", [
+    [],
+    [profile("u1", skills=(), jobs=[job("t", "o", "i", "2012-01")])],
+    [profile("u1", education=0, jobs=[job("t", "o", "i", "2012-01")])],
+], ids=["empty", "no skill", "no education"])
+def test_write_all_reports_refuses_a_corpus_with_no_active_profile(tmp_path, profiles):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^no active profiles"):
+        write_all_reports(profiles, config("2015-01"), out)
+    assert not out.exists()
