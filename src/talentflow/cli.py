@@ -26,7 +26,7 @@ from .graphalgo import (
     fit_power_law,
     weighted_pagerank,
 )
-from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph
+from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph, require_nodes
 from .hops import extract_all_hops
 from .ingest import filter_active, ingest_profiles
 from .metrics import (
@@ -226,9 +226,7 @@ def _centrality(graph, metric: CentralityMetric, config):
 
 def _cmd_graph_analyze(args) -> int:
     active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
-    if not graph.nodes:
-        raise ValueError("graph is empty after pruning; lower --min-support")
+    graph = require_nodes(_build_level_graph(args, active, config))
     table = _centrality(graph, _METRICS[args.metric], config)
     level = GraphLevel(args.level)
     header = (
@@ -247,7 +245,7 @@ def _cmd_graph_analyze(args) -> int:
 
 def _cmd_graph_components(args) -> int:
     active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
+    graph = require_nodes(_build_level_graph(args, active, config))
     row = reports.graph_stats_row(args.level, graph)
     if args.out:
         reports.write_rows(Path(args.out), reports.GRAPH_STATS_HEADER, [row])
@@ -260,9 +258,7 @@ def _cmd_graph_components(args) -> int:
 
 def _cmd_graph_powerlaw(args) -> int:
     active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
-    if not graph.nodes:
-        raise ValueError("graph is empty after pruning; lower --min-support")
+    graph = require_nodes(_build_level_graph(args, active, config))
     table = _centrality(graph, _METRICS[args.metric], config)
     if args.metric == "pagerank":
         # Discrete fitting needs positive integers; use per-node rank mass

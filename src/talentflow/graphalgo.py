@@ -17,11 +17,13 @@ order only until the next bound exceeds the best distance found, so it
 returns the fit a scan of every (cutoff, tail value) pair would, ties
 going to the smallest xmin, while scoring a fraction of the pairs.
 
-Every analytic reads the integer index a HopGraph computes once when it is
-built (hopgraph.GraphIndex): degrees are bincounts over its edge ids,
-PageRank iterates over its id arrays, components walk a CSR adjacency over
-node ids, and rankings are a stable argsort over the node ids, which are
-already in sorted node order. None of them sorts or re-keys the graph.
+Every analytic reads the integer index a HopGraph holds
+(hopgraph.GraphIndex): degrees are bincounts over its edge ids, PageRank
+iterates over its id arrays, and components walk a CSR adjacency over node
+ids, Tarjan's scan resuming each node's edges from a per-node cursor.
+Rankings sort the node ids by score with Python's stable sorted (less peak
+memory than an argsort here), so tied nodes keep id order, which is sorted
+node order. None of them sorts or re-keys the graph.
 """
 
 from __future__ import annotations
@@ -143,12 +145,18 @@ def _adjacency(graph: HopGraph, mode: ComponentMode) -> tuple[list[int], list[in
 
 
 def _strongly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
-    # Tarjan, iterative: the job graph can be deep enough to blow the
-    # recursion limit on long career chains.
+    """Tarjan's SCC algorithm, iterative: the job graph can be deep enough to
+    blow the recursion limit on long career chains.
+
+    The depth-first path is a list of node ids, and cursor[v] is the
+    position in nbrs of the next edge of v to scan, so returning to v
+    resumes its scan where it stopped.
+    """
     n = len(start) - 1
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
+    cursor = start[:-1]
     stack: list[int] = []
     components: list[list[int]] = []
     order = 0
@@ -160,36 +168,40 @@ def _strongly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
         order += 1
         stack.append(root)
         on_stack[root] = True
-        frames = [(root, iter(nbrs[start[root]:start[root + 1]]))]
-        while frames:
-            v, it = frames[-1]
-            advanced = False
-            for nxt in it:
+        path = [root]
+        while path:
+            v = path[-1]
+            low = lowlink[v]
+            i, end = cursor[v], start[v + 1]
+            while i < end:
+                nxt = nbrs[i]
+                i += 1
                 if index[nxt] < 0:
-                    index[nxt] = lowlink[nxt] = order
-                    order += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    frames.append((nxt, iter(nbrs[start[nxt]:start[nxt + 1]])))
-                    advanced = True
                     break
-                if on_stack[nxt]:
-                    lowlink[v] = min(lowlink[v], index[nxt])
-            if advanced:
+                if on_stack[nxt] and index[nxt] < low:
+                    low = index[nxt]
+            else:
+                # v's scan is done: pass its lowlink up, close its component.
+                path.pop()
+                if path and low < lowlink[path[-1]]:
+                    lowlink[path[-1]] = low
+                if low == index[v]:
+                    cut = len(stack)
+                    while True:
+                        cut -= 1
+                        on_stack[stack[cut]] = False
+                        if stack[cut] == v:
+                            break
+                    components.append(stack[cut:][::-1])
+                    del stack[cut:]
                 continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    node = stack.pop()
-                    on_stack[node] = False
-                    comp.append(node)
-                    if node == v:
-                        break
-                components.append(comp)
+            cursor[v] = i
+            lowlink[v] = low
+            index[nxt] = lowlink[nxt] = order
+            order += 1
+            stack.append(nxt)
+            on_stack[nxt] = True
+            path.append(nxt)
     return components
 
 

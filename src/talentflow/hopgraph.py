@@ -15,11 +15,22 @@ pass: removing a neighbor can never invalidate a surviving node. Edge
 weights and support are counted from the integer columns of the hop and
 stint tables (see HopTable, StintTable).
 
-A HopGraph is frozen. It computes one integer index (GraphIndex) when it
-is constructed: the node keys in sorted order, and the edges as integer
-source and target node ids with their weights, in (source, target) order.
-Every analytic in graphalgo and every export reads that index, so none
-sorts or re-keys the graph again; exports render each node label once.
+A HopGraph is frozen and holds one integer index (GraphIndex): the node
+keys in sorted order, and the edges as integer source and target node ids
+with their weights, in (source, target) order. build_graph makes that index
+from packed integer keys, never from key tuples: it ranks the level's node
+keys in sorted order, counts edge weights with one sort of the packed key
+source_rank * n + target_rank (distinct movers: with one more sort of
+pair_rank * n_users + user code, where pair_rank ranks the distinct pairs),
+prunes, and renumbers the surviving ranks with a cumulative sum, so the
+edges come out already in index order. The graph's node set and edge map
+are then read off the index. A graph built from key dicts (HopGraph(...),
+import_graph_csv) is indexed by GraphIndex.of, which maps the keys to ids
+and hands them to the same array constructor, GraphIndex.of_ids.
+
+Every analytic in graphalgo and every export reads the index, so none sorts
+or re-keys the graph again. Exports render and quote each node label once,
+in a list by node id, and write each edge from its ids and weight.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -43,7 +54,7 @@ from .model import (
     StintTable,
     UserProfile,
     distinct_counts,
-    groups,
+    run_starts,
 )
 
 NodeKey = JobKey | str
@@ -109,20 +120,34 @@ class GraphIndex:
     def of(
         cls, nodes: Iterable[NodeKey], edges: dict[tuple[NodeKey, NodeKey], int]
     ) -> "GraphIndex":
+        """The index of a node set and an edge map keyed by node pairs."""
         order = tuple(sorted(nodes))
         ids = dict(zip(order, range(len(order))))
-        keys = list(edges)
         try:
-            src = np.fromiter(map(ids.__getitem__, map(itemgetter(0), keys)), np.intp, len(keys))
-            dst = np.fromiter(map(ids.__getitem__, map(itemgetter(1), keys)), np.intp, len(keys))
+            src = np.fromiter(map(ids.__getitem__, map(itemgetter(0), edges)), np.intp, len(edges))
+            dst = np.fromiter(map(ids.__getitem__, map(itemgetter(1), edges)), np.intp, len(edges))
         except KeyError as exc:
             raise ValueError(f"edge endpoint is not a node: {exc.args[0]!r}") from None
-        weight = np.fromiter(edges.values(), np.int64, len(keys))
-        perm = np.argsort(src * len(order) + dst)
-        arrays = src[perm], dst[perm], weight[perm]
-        for a in arrays:
+        return cls.of_ids(order, src, dst, np.fromiter(edges.values(), np.int64, len(edges)))
+
+    @classmethod
+    def of_ids(
+        cls, nodes: tuple[NodeKey, ...], src: np.ndarray, dst: np.ndarray, weight: np.ndarray
+    ) -> "GraphIndex":
+        """The index of distinct edges given as ids into nodes, keys in sorted order.
+
+        The edges are put in (src, dst) order here; edges already in that
+        order, as build_graph makes them, keep it.
+        """
+        perm = np.argsort(src * len(nodes) + dst, kind="stable")
+        src = src[perm].astype(np.intp, copy=False)
+        dst = dst[perm].astype(np.intp, copy=False)
+        weight = weight[perm].astype(np.int64, copy=False)
+        for a in (src, dst, weight):
             a.flags.writeable = False
-        return cls(order, tuple(map(keys.__getitem__, perm.tolist())), *arrays)
+        key = nodes.__getitem__
+        edges = tuple(zip(map(key, src.tolist()), map(key, dst.tolist())))
+        return cls(nodes, edges, src, dst, weight)
 
 
 @dataclass(frozen=True)
@@ -130,8 +155,9 @@ class HopGraph:
     """A built graph, frozen, with its integer index (see GraphIndex).
 
     The node set is stored as a frozenset; node_support and edges must not
-    be mutated, because every analytic and export reads the index computed
-    from them at construction. An edge whose endpoint is not a node raises
+    be mutated, because every analytic and export reads the index, which
+    build_graph makes first and a graph constructed from these fields
+    computes from them. An edge whose endpoint is not a node raises
     ValueError.
     """
 
@@ -145,13 +171,30 @@ class HopGraph:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         object.__setattr__(self, "index", GraphIndex.of(self.nodes, self.edges))
 
+    @classmethod
+    def _of_index(
+        cls, level: GraphLevel, index: GraphIndex, node_support: dict[NodeKey, int]
+    ) -> "HopGraph":
+        """The graph of a finished index: nodes and edges are read off it, not re-keyed."""
+        graph = cls.__new__(cls)
+        for name, value in (
+            ("level", level),
+            ("nodes", frozenset(index.nodes)),
+            ("node_support", node_support),
+            ("edges", dict(zip(index.edges, index.weight.tolist()))),
+            ("index", index),
+        ):
+            object.__setattr__(graph, name, value)
+        return graph
+
     @property
     def self_loop_mass(self) -> int:
-        return sum(w for (u, v), w in self.edges.items() if u == v)
+        idx = self.index
+        return int(idx.weight[idx.src == idx.dst].sum())
 
     @property
     def total_edge_weight(self) -> int:
-        return sum(self.edges.values())
+        return int(self.index.weight.sum())
 
     def sparsity(self) -> float:
         """|E| / |V|^2, the filled fraction of the adjacency matrix."""
@@ -162,12 +205,7 @@ class HopGraph:
         return list(self.index.nodes)
 
     def sorted_edges(self) -> list[tuple[tuple[NodeKey, NodeKey], int]]:
-        return list(_weighted_edges(self))
-
-
-def _weighted_edges(graph: HopGraph) -> Iterator[tuple[tuple[NodeKey, NodeKey], int]]:
-    """(edge, weight) pairs in index order, without building a list."""
-    return zip(graph.index.edges, map(graph.edges.__getitem__, graph.index.edges))
+        return list(zip(self.index.edges, self.index.weight.tolist()))
 
 
 def build_graph(
@@ -195,39 +233,47 @@ def build_graph(
     if level is GraphLevel.ORG:
         src, dst = src[table.external], dst[table.external]
     node, keys = _node_column(stints, level)
-    u, v = node[src], node[dst]
     who = stints.user_code[stints.user[src]]
     if profiles is None:
-        support = distinct_counts(np.concatenate([u, v]), np.concatenate([who, who]), len(keys))
+        ends = np.concatenate([node[src], node[dst]])
+        support = distinct_counts(ends, np.concatenate([who, who]), len(keys))
     else:
         support = _holder_support(stints, level, config.curr_date, profiles, keys)
-    if distinct_users:
-        order, first, _ = groups(u, v, who)
-        moves = order[first]
-        order, first, weight = groups(u[moves], v[moves])
-        edge = moves[order[first]]
-    else:
-        order, first, weight = groups(u, v)
-        edge = order[first]
-    u, v = u[edge], v[edge]
 
-    kept = np.zeros(len(keys), bool)
+    # Node ranks: the keys' positions in sorted order, so that packed
+    # (u, v) keys sort into the index's edge order.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    keys = tuple(map(keys.__getitem__, order))
+    support = support[order]
+    rank = np.empty(len(keys), np.intp)
+    rank[order] = np.arange(len(keys))
+    n = len(keys)
+    pairs = rank[node[src]] * n + rank[node[dst]]
+    ordered = np.sort(pairs)
+    first = run_starts(ordered)
+    edge = ordered[first]
+    if distinct_users:
+        weight = distinct_counts(np.searchsorted(edge, pairs), who, len(edge))
+    else:
+        weight = np.diff(np.append(first, len(pairs)))
+    u, v = np.divmod(edge, n)
+
+    kept = np.zeros(n, bool)
     kept[u] = True
     kept[v] = True
     kept &= support >= config.min_support
     live = kept[u] & kept[v]
-    node_support = dict(
-        zip(map(keys.__getitem__, np.flatnonzero(kept).tolist()), support[kept].tolist())
-    )
-    return HopGraph(
-        level=level,
-        nodes=frozenset(node_support),
-        node_support=node_support,
-        edges={
-            (keys[a], keys[b]): w
-            for a, b, w in zip(u[live].tolist(), v[live].tolist(), weight[live].tolist())
-        },
-    )
+    ids = np.cumsum(kept) - 1  # monotone, so the edges stay in (src, dst) order
+    nodes = tuple(map(keys.__getitem__, np.flatnonzero(kept).tolist()))
+    index = GraphIndex.of_ids(nodes, ids[u[live]], ids[v[live]], weight[live])
+    return HopGraph._of_index(level, index, dict(zip(nodes, support[kept].tolist())))
+
+
+def require_nodes(graph: HopGraph) -> HopGraph:
+    """graph itself; a graph with no node, as pruning can leave, raises ValueError."""
+    if not graph.nodes:
+        raise ValueError(f"{graph.level.value} graph is empty after pruning; lower --min-support")
+    return graph
 
 
 def _node_column(stints: StintTable, level: GraphLevel) -> tuple[np.ndarray, tuple]:
@@ -260,17 +306,36 @@ def _holder_support(
     return np.fromiter((by_key.get(k, 0) for k in keys), np.int64, len(keys))
 
 
-def _labels(graph: HopGraph, quote: Callable[[str], str]) -> dict[NodeKey, str]:
-    """Each node's export label, rendered and quoted once."""
-    return {n: quote(node_to_str(n)) for n in graph.index.nodes}
+def _labels(graph: HopGraph, quote: Callable[[str], str]) -> list[str]:
+    """Each node id's export label, rendered and quoted once."""
+    return [quote(node_to_str(n)) for n in graph.index.nodes]
+
+
+def _id_edges(graph: HopGraph) -> Iterator[tuple[int, int, int]]:
+    """(src id, dst id, weight) per edge, in index order."""
+    idx = graph.index
+    return zip(idx.src.tolist(), idx.dst.tolist(), idx.weight.tolist())
+
+
+def _csv_quote(text: str) -> str:
+    """text as one csv field, quoted as csv.writer quotes it.
+
+    A field holding a comma, a quote or a line break is quoted, its quotes
+    doubled. With a newline line terminator, csv.writer leaves a field
+    whose only line break is a carriage return unquoted (Python 3.11 does),
+    and csv.reader then splits the row there; such a field is quoted here,
+    so that every label reads back.
+    """
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_csv(graph: HopGraph, path: Path) -> None:
-    label = _labels(graph, str)
+    label = _labels(graph, _csv_quote)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["src", "dst", "weight"])
-        writer.writerows([label[u], label[v], w] for (u, v), w in _weighted_edges(graph))
+        fh.write("src,dst,weight\n")
+        fh.writelines(f"{label[u]},{label[v]},{w}\n" for u, v, w in _id_edges(graph))
 
 
 def _dot_quote(text: str) -> str:
@@ -281,15 +346,14 @@ def _write_dot(graph: HopGraph, path: Path) -> None:
     label = _labels(graph, _dot_quote)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("digraph talentflow {\n")
-        fh.writelines(f"  {label[n]};\n" for n in graph.index.nodes)
-        fh.writelines(
-            f"  {label[u]} -> {label[v]} [weight={w}];\n" for (u, v), w in _weighted_edges(graph)
-        )
+        fh.writelines(f"  {text};\n" for text in label)
+        fh.writelines(f"  {label[u]} -> {label[v]} [weight={w}];\n" for u, v, w in _id_edges(graph))
         fh.write("}\n")
 
 
 def _write_graphml(graph: HopGraph, path: Path) -> None:
     label = _labels(graph, quoteattr)
+    support = map(graph.node_support.get, graph.index.nodes, repeat(0))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -299,14 +363,13 @@ def _write_graphml(graph: HopGraph, path: Path) -> None:
             '  <graph edgedefault="directed">\n'
         )
         fh.writelines(
-            f"    <node id={label[n]}>"
-            f'<data key="support">{graph.node_support.get(n, 0)}</data></node>\n'
-            for n in graph.index.nodes
+            f'    <node id={text}><data key="support">{n}</data></node>\n'
+            for text, n in zip(label, support)
         )
         fh.writelines(
             f"    <edge source={label[u]} target={label[v]}>"
             f'<data key="weight">{w}</data></edge>\n'
-            for (u, v), w in _weighted_edges(graph)
+            for u, v, w in _id_edges(graph)
         )
         fh.write("  </graph>\n</graphml>\n")
 

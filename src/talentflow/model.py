@@ -595,7 +595,9 @@ def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:
     """Index of each distinct value's first occurrence in a sorted array."""
-    return np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    new = np.ones(len(ordered), bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
 def groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -617,9 +619,14 @@ def groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def distinct_counts(item: np.ndarray, who: np.ndarray, n_items: int) -> np.ndarray:
-    """Per item id below n_items, how many distinct who-codes occur with it."""
-    order, first, _ = groups(item, who)
-    return np.bincount(item[order[first]], minlength=n_items)
+    """Per item id below n_items, how many distinct who-codes occur with it.
+
+    One sort of the packed key item * n_who + who, where n_who exceeds every
+    who-code: a distinct key is a distinct (item, who) pair.
+    """
+    n_who = int(who.max(initial=0)) + 1
+    pairs = np.sort(item * n_who + who)
+    return np.bincount(pairs[run_starts(pairs)] // n_who, minlength=n_items)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .graphalgo import (
     top_k,
     weighted_pagerank,
 )
-from .hopgraph import GraphLevel, HopGraph, build_graph
+from .hopgraph import GraphLevel, HopGraph, build_graph, require_nodes
 from .hops import extract_all_hops
 from .ingest import filter_active
 from .metrics import (
@@ -269,18 +269,26 @@ def write_all_reports(
     stints are read once, into one StintTable that every stage shares; its
     stint counts are added to drops when given. The graph levels whose
     PageRank hit pagerank_max_iter are appended to unconverged when given.
-    Raises ValueError, before writing anything, when no profile is active.
+    Raises ValueError, before writing anything, when no profile is active
+    and when min_support pruning removes every node of a graph level that
+    has moves.
     """
     active = filter_active(profiles)
     if not len(active):
         raise ValueError("no active profiles: reports need one with an education entry and a skill")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     stints = StintTable.of(active, config.curr_date)
     if drops is not None:
         drops.add(stints.drops)
     hops, _diag = extract_all_hops(stints, config)
+    job_graph = build_graph(hops, GraphLevel.JOB, config, profiles=stints)
+    org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=stints)
+    # A level with moves that pruning left without a node is refused; a
+    # level without moves has a truly empty graph, whose rows read zero.
+    if len(hops):
+        require_nodes(job_graph)
+    if hops.external.any():
+        require_nodes(org_graph)
     index = CorpusIndex.build(stints, config)
 
     crosses = [
@@ -301,8 +309,6 @@ def write_all_reports(
     summary = promotion_summary(records)
     stay_bins = promotion_by_stay(records, STAY_BIN_MONTHS, config)
 
-    job_graph = build_graph(hops, GraphLevel.JOB, config, profiles=stints)
-    org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=stints)
     job_tables = centrality_tables(job_graph, config)
     org_tables = centrality_tables(org_graph, config)
     if unconverged is not None:
@@ -310,6 +316,8 @@ def write_all_reports(
             if not all(t.converged for t in tables):
                 unconverged.append(level)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = [
         write_distributions(stints, config, out_dir / "distributions.csv"),
         write_cohorts(crosses, out_dir / "cohort_fractions.csv"),

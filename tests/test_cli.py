@@ -115,7 +115,10 @@ def test_hops_and_report_all_note_jobs_ending_before_graduation(tmp_path, capsys
     note = "1 usable jobs ended before graduation; they have no work experience\n"
     assert main(["hops", "--input", str(corpus), "--out", str(tmp_path / "hops.csv")]) == 0
     assert capsys.readouterr().err == note
-    assert main(["report-all", "--input", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    # --min-support 1 keeps this one-user corpus's graphs: at the default of
+    # 10, pruning empties them and report-all refuses the corpus.
+    assert main(["report-all", "--input", str(corpus), "--out-dir", str(tmp_path / "out"),
+                 "--min-support", "1"]) == 0
     assert capsys.readouterr().err == note
 
 
@@ -177,6 +180,32 @@ def test_no_active_profile_fails_every_loading_command(tmp_path, capsys, kind):
     assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
     assert main(["ingest", "--input", str(corpus)]) == 0
     assert "active_records: 0" in capsys.readouterr().out
+
+
+PRUNING_COMMANDS = [
+    ["graph", "analyze", "--metric", "pagerank", "--out", "o.csv"],
+    ["graph", "components"],
+    ["graph", "components", "--out", "o.csv"],
+    ["graph", "powerlaw", "--metric", "indegree"],
+]
+
+
+def test_a_graph_that_pruning_empties_fails_every_analysis(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    generate(GeneratorSpec(seed=3, n_users=300), corpus, tmp_path / "t.json")
+    prune = ["--input", str(corpus), "--min-support", "100000"]
+    for level in ("job", "org"):
+        for command in PRUNING_COMMANDS:
+            args = [a if a != "o.csv" else str(tmp_path / a) for a in command]
+            assert main(args + ["--level", level] + prune) == 1, command
+            assert capsys.readouterr().err == (
+                f"error: ValueError: {level} graph is empty after pruning; lower --min-support\n"
+            )
+    assert main(["report-all", "--out-dir", str(tmp_path / "out")] + prune) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: job graph is empty after pruning; lower --min-support\n"
+    )
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
 
 
 def test_metrics_cohorts(corpus, tmp_path):

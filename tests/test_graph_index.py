@@ -4,10 +4,13 @@ The reference functions below are the key-typed implementations that the
 integer index (hopgraph.GraphIndex) replaced: each builds its own view of
 the graph from HopGraph.nodes and HopGraph.edges. The indexed versions
 must agree with them exactly -- the same floats, rankings, iteration
-counts, component lists and export bytes.
+counts, component lists and export bytes. frame_strongly_connected is the
+frame-per-node Tarjan loop that the edge-cursor one replaced, over the same
+CSR lists; both must return the same components in the same order.
 """
 
 import csv
+import io
 import os
 import random
 import subprocess
@@ -21,18 +24,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talentflow
+from talentflow import hopgraph
 from talentflow.graphalgo import (
     CentralityMetric,
     ComponentMode,
     Direction,
+    _strongly_connected,
     component_report,
     connected_components,
     degree_centrality,
     weighted_pagerank,
 )
-from talentflow.hopgraph import ExportFormat, GraphLevel, HopGraph, export_graph
+from talentflow.hopgraph import (
+    ExportFormat,
+    GraphIndex,
+    GraphLevel,
+    HopGraph,
+    build_graph,
+    export_graph,
+    import_graph_csv,
+    node_to_str,
+)
+from talentflow.hops import extract_all_hops
 from talentflow.model import JobKey
-from helpers import config
+from helpers import config, random_profile
 
 CFG = config("2016-06", min_support=1)
 FEW_ITERATIONS = config("2016-06", min_support=1, pagerank_max_iter=3)
@@ -160,6 +175,56 @@ def reference_components(graph, mode):
     comps = sorted(sorted(c) for c in find(nodes, reference_adjacency(graph, mode)))
     comps.sort(key=len, reverse=True)
     return comps
+
+
+def frame_strongly_connected(start, nbrs):
+    # Tarjan, iterative, one (node, neighbor iterator) frame per open node.
+    n = len(start) - 1
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    order = 0
+
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = lowlink[root] = order
+        order += 1
+        stack.append(root)
+        on_stack[root] = True
+        frames = [(root, iter(nbrs[start[root]:start[root + 1]]))]
+        while frames:
+            v, it = frames[-1]
+            advanced = False
+            for nxt in it:
+                if index[nxt] < 0:
+                    index[nxt] = lowlink[nxt] = order
+                    order += 1
+                    stack.append(nxt)
+                    on_stack[nxt] = True
+                    frames.append((nxt, iter(nbrs[start[nxt]:start[nxt + 1]])))
+                    advanced = True
+                    break
+                if on_stack[nxt]:
+                    lowlink[v] = min(lowlink[v], index[nxt])
+            if advanced:
+                continue
+            frames.pop()
+            if frames:
+                parent = frames[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    node = stack.pop()
+                    on_stack[node] = False
+                    comp.append(node)
+                    if node == v:
+                        break
+                components.append(comp)
+    return components
 
 
 def reference_label(node):
@@ -322,6 +387,154 @@ def test_index_is_read_only_and_checks_endpoints():
         graph.index.weight[0] = 5
     with pytest.raises(ValueError, match="'c'"):
         HopGraph(level=GraphLevel.ORG, nodes={"a"}, node_support={}, edges={("a", "c"): 1})
+
+
+def build_every_way(hops, profiles, cfg):
+    return [
+        build_graph(hops, level, cfg, profiles=source, distinct_users=distinct)
+        for level in GraphLevel
+        for source in (None, profiles)
+        for distinct in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("min_support", [1, 3])
+def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_support):
+    rng = random.Random(11)
+    profiles = [random_profile(rng, f"u{i}", allow_invalid=False) for i in range(60)]
+    cfg = config("2016-06", min_support=min_support)
+    hops, _ = extract_all_hops(profiles, cfg)
+
+    def refuse(*args):
+        raise AssertionError("build_graph re-keyed its graph through GraphIndex.of")
+
+    monkeypatch.setattr(hopgraph.GraphIndex, "of", refuse)
+    built = build_every_way(hops, profiles, cfg)
+    monkeypatch.undo()
+    assert any(g.edges for g in built)
+    for graph in built:
+        # The same graph from its key dicts, indexed by GraphIndex.of.
+        keyed = HopGraph(graph.level, graph.nodes, graph.node_support, graph.edges)
+        assert keyed == graph
+        ours, theirs = graph.index, keyed.index
+        assert (ours.nodes, ours.edges) == (theirs.nodes, theirs.edges)
+        for name in ("src", "dst", "weight"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist() and not a.flags.writeable
+
+
+# --- the edge-cursor Tarjan against the frame loop ----------------------------
+
+def csr(n, edges):
+    """start and nbrs lists of a digraph on n nodes, neighbors in edge order."""
+    out = [[] for _ in range(n)]
+    for u, v in edges:
+        out[u].append(v)
+    start = [0]
+    for targets in out:
+        start.append(start[-1] + len(targets))
+    return start, [v for targets in out for v in targets]
+
+
+@st.composite
+def digraphs(draw):
+    """Random edges plus self-loops and cycles nested inside cycles."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges += [(v, v) for v in draw(st.lists(node, max_size=5))]
+    for _ in range(draw(st.integers(0, 4))):
+        ring = draw(st.lists(node, min_size=1, max_size=12, unique=True))
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+        inner = ring[: draw(st.integers(1, len(ring)))]  # a cycle through part of it
+        edges += list(zip(inner, inner[1:] + inner[:1]))
+    return n, draw(st.permutations(edges))
+
+
+@given(digraphs())
+@settings(max_examples=300, deadline=None)
+def test_cursor_tarjan_matches_the_frame_loop(graph):
+    n, edges = graph
+    start, nbrs = csr(n, edges)
+    got = _strongly_connected(start, nbrs)
+    assert got == frame_strongly_connected(start, nbrs)
+    assert sorted(v for comp in got for v in comp) == list(range(n))
+
+
+RING = 5000
+
+
+@pytest.mark.parametrize("tail", [0, RING], ids=["ring", "ring with a tail"])
+def test_cursor_tarjan_on_a_deep_ring(tail):
+    # Tail nodes 0..tail-1 form a path into ring node tail, so the scan goes
+    # tail + RING nodes deep and the ring's lowlink travels back along all
+    # of it.
+    n = tail + RING
+    ring = list(range(tail, n))
+    edges = [(v, v + 1) for v in range(tail)] + list(zip(ring, ring[1:] + ring[:1]))
+    start, nbrs = csr(n, edges)
+    got = _strongly_connected(start, nbrs)
+    assert got == frame_strongly_connected(start, nbrs)
+    assert sorted(map(sorted, got)) == [[v] for v in range(tail)] + [ring]
+    names = [f"n{v:05d}" for v in range(n)]
+    graph = HopGraph(
+        level=GraphLevel.ORG, nodes=set(names), node_support={},
+        edges={(names[u], names[v]): 1 for u, v in edges},
+    )
+    comps = connected_components(graph, ComponentMode.STRONG)
+    assert comps[0] == names[tail:] and len(comps) == tail + 1
+
+
+# --- csv quoting ---------------------------------------------------------------
+
+LABELS = st.text(
+    st.one_of(st.sampled_from(',"\n\r |'), st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+)
+
+
+def exportable(node):
+    try:
+        node_to_str(node)
+    except ValueError:  # an industry that runs into the ' | ' separator
+        return False
+    return True
+
+
+def csv_writer_text(rows, lineterminator):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=lineterminator).writerows(rows)
+    return buf.getvalue()
+
+
+@given(
+    st.lists(LABELS, min_size=1, max_size=6, unique=True),
+    st.sampled_from(list(GraphLevel)),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_csv_export_quotes_labels_as_csv_writer_and_reads_back(tmp_path_factory, labels, level, rng):
+    if level is GraphLevel.ORG:
+        nodes = labels
+    else:
+        nodes = [JobKey(t, i) for t, i in zip(labels, reversed(labels))]
+    nodes = [n for n in nodes if exportable(n)]
+    edges = {(u, v): rng.randint(1, 99) for u in nodes for v in nodes if rng.random() < 0.4}
+    graph = HopGraph(level=level, nodes=set(nodes), node_support={}, edges=edges)
+    path = export_graph(graph, ExportFormat.CSV_EDGELIST, tmp_path_factory.mktemp("q") / "g.csv")
+
+    rows = [["src", "dst", "weight"]] + [
+        [node_to_str(u), node_to_str(v), w] for (u, v), w in sorted(edges.items())
+    ]
+    text = path.read_bytes().decode("utf-8")
+    if not any("\r" in cell for row in rows for cell in row[:2]):
+        assert text == csv_writer_text(rows, "\n")
+    # csv.writer's own rule when a carriage return also counts as a line
+    # break: a label with a lone "\r" is quoted so that it reads back.
+    assert text == "".join(csv_writer_text([row], "\r\n")[:-2] + "\n" for row in rows)
+    back = import_graph_csv(path, level)
+    assert back.edges == edges
+    assert back.nodes == {n for edge in edges for n in edge}
 
 
 NUMPY_MA_PROBE = """

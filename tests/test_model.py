@@ -3,6 +3,7 @@ import re
 import string
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +12,7 @@ from talentflow.model import (
     InvalidLabelError,
     JobKey,
     OrgJobKey,
+    distinct_counts,
     months_between,
     normalize_label,
 )
@@ -147,3 +149,15 @@ def test_open_end_resolution():
     assert j.end_or(dm("2016-06")) == dm("2016-06")
     assert j.has_valid_period(dm("2016-06"))
     assert not j.has_valid_period(dm("2009-12"))
+
+
+@given(
+    st.integers(1, 6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6)), max_size=40),
+)
+def test_distinct_counts_equals_a_set_count(n_items, pairs):
+    pairs = [(item % n_items, who) for item, who in pairs]
+    item = np.array([i for i, _ in pairs], dtype=np.intp)
+    who = np.array([w for _, w in pairs], dtype=np.intp)
+    want = [len({w for i, w in pairs if i == k}) for k in range(n_items)]
+    assert distinct_counts(item, who, n_items).tolist() == want

@@ -76,3 +76,31 @@ def test_write_all_reports_refuses_a_corpus_with_no_active_profile(tmp_path, pro
     with pytest.raises(ValueError, match="^no active profiles"):
         write_all_reports(profiles, config("2015-01"), out)
     assert not out.exists()
+
+
+def move(user, first, second):
+    return profile(user, jobs=[job(*first, "2010-01", "2011-01"), job(*second, "2011-01")])
+
+
+@pytest.mark.parametrize("profiles, level", [
+    # One holder per job: pruning at 2 empties the job graph.
+    ([move("u1", ("a", "x", "i"), ("b", "x", "i"))], "job"),
+    # Two holders of job a | i, one per organization: the org graph empties.
+    ([move("u1", ("a", "x", "i"), ("a", "y", "i")),
+      move("u2", ("a", "p", "i"), ("a", "q", "i"))], "org"),
+], ids=["job", "org"])
+def test_write_all_reports_refuses_a_graph_that_pruning_empties(tmp_path, profiles, level):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{level} graph is empty after pruning"):
+        write_all_reports(profiles, config("2015-01", min_support=2), out)
+    assert not out.exists()
+    written = write_all_reports(profiles, config("2015-01", min_support=1), out)
+    assert len(written) == 9
+
+
+def test_write_all_reports_keeps_the_empty_graph_of_a_level_without_moves(tmp_path):
+    # No external move: the org graph has nothing to prune, and its row reads zero.
+    profiles = [move("u1", ("a", "x", "i"), ("b", "x", "i"))]
+    write_all_reports(profiles, config("2015-01", min_support=1), tmp_path)
+    org = rows_of(tmp_path / "graph_stats.csv")[2]
+    assert org[:3] == ["org", "0", "0"]
