@@ -211,7 +211,7 @@ def _build_level_graph(args, active, config):
 
 def _cmd_graph_build(args) -> int:
     active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
+    graph = require_nodes(_build_level_graph(args, active, config))
     export_graph(graph, ExportFormat(args.format), args.out)
     print(args.out)
     return 0

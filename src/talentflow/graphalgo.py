@@ -19,8 +19,10 @@ going to the smallest xmin, while scoring a fraction of the pairs.
 
 Every analytic reads the integer index a HopGraph holds
 (hopgraph.GraphIndex): degrees are bincounts over its edge ids, PageRank
-iterates over its id arrays, and components walk a CSR adjacency over node
-ids, Tarjan's scan resuming each node's edges from a per-node cursor.
+iterates over its id arrays, strong components walk a CSR adjacency over
+node ids, Tarjan's scan resuming each node's edges from a per-node cursor,
+and weak components come from min-label hooking with pointer jumping, a
+few rounds of numpy passes over the edge arrays (see _weak_labels).
 Rankings sort the node ids by score with Python's stable sorted (less peak
 memory than an argsort here), so tied nodes keep id order, which is sorted
 node order. None of them sorts or re-keys the graph.
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hopgraph import HopGraph, NodeKey
+from .hopgraph import GraphIndex, HopGraph, NodeKey
 from .model import AnalysisConfig, run_starts
 
 
@@ -127,21 +129,12 @@ def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTabl
     return _table(CentralityMetric.PAGERANK, graph, rank, converged, iterations)
 
 
-def _adjacency(graph: HopGraph, mode: ComponentMode) -> tuple[list[int], list[int]]:
-    """CSR adjacency over node ids: v's neighbors are nbrs[start[v]:start[v + 1]].
-
-    Strong mode follows edge direction; weak mode also adds every edge
-    reversed.
-    """
-    idx = graph.index
-    src, dst = idx.src, idx.dst  # already in source order
-    if mode is ComponentMode.WEAK:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        order = np.argsort(src)
-        src, dst = src[order], dst[order]
+def _adjacency(idx: GraphIndex) -> tuple[list[int], list[int]]:
+    """CSR adjacency over node ids, following edge direction: v's
+    out-neighbors are nbrs[start[v]:start[v + 1]]."""
     start = np.zeros(len(idx.nodes) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=len(idx.nodes)), out=start[1:])
-    return start.tolist(), dst.tolist()
+    np.cumsum(np.bincount(idx.src, minlength=len(idx.nodes)), out=start[1:])  # src is sorted
+    return start.tolist(), idx.dst.tolist()
 
 
 def _strongly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
@@ -205,24 +198,41 @@ def _strongly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
     return components
 
 
-def _weakly_connected(start: list[int], nbrs: list[int]) -> list[list[int]]:
-    seen = [False] * (len(start) - 1)
-    components = []
-    for root in range(len(seen)):
-        if seen[root]:
-            continue
-        comp = []
-        queue = [root]
-        seen[root] = True
-        while queue:
-            v = queue.pop()
-            comp.append(v)
-            for nxt in nbrs[start[v]:start[v + 1]]:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    queue.append(nxt)
-        components.append(comp)
-    return components
+def _weak_labels(idx: GraphIndex) -> np.ndarray:
+    """Each node id's weak component, named by the smallest node id in it.
+
+    Min-label hooking with pointer jumping (Shiloach & Vishkin, J.
+    Algorithms 1982) on the edge arrays. label is a forest in which each
+    node points at itself (a root) or at a smaller id. Each round hooks
+    every root onto the smallest root across its edges, if that is smaller,
+    jumps every pointer to its root, and drops the edges whose ends now
+    share a root. A root that neither hooks nor is hooked onto in a round
+    has only neighbors that hooked onto smaller roots, so it hooks in the
+    next: the roots with a live edge at least halve every two rounds. When
+    no edge is left, each root is the smallest id of its component.
+
+    Each root's smallest neighbor root comes from one sort of the packed
+    key larger_root * n + smaller_root. np.minimum.at would do without the
+    sort, but its first call pages in about 0.13 MB of numpy code, which
+    showed in the peak memory of a report pass, whose graphs are small.
+    """
+    n = len(idx.nodes)
+    label = np.arange(n, dtype=np.intp)
+    live = idx.src != idx.dst
+    src, dst = idx.src[live], idx.dst[live]
+    while len(src):
+        a, b = label[src], label[dst]
+        key = np.sort(np.maximum(a, b) * n + np.minimum(a, b))
+        root, low = np.divmod(key[run_starts(key // n)], n)
+        label[root] = low
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        live = label[src] != label[dst]
+        src, dst = src[live], dst[live]
+    return label
 
 
 class ComponentMode(str, Enum):
@@ -230,15 +240,20 @@ class ComponentMode(str, Enum):
     WEAK = "weak"
 
 
-def _components(graph: HopGraph, mode: ComponentMode) -> list[list[int]]:
+def _components(idx: GraphIndex, mode: ComponentMode) -> list[list[int]]:
     """The component partition as lists of node ids, in no set order."""
-    find = _strongly_connected if mode is ComponentMode.STRONG else _weakly_connected
-    return find(*_adjacency(graph, mode))
+    if mode is ComponentMode.STRONG:
+        return _strongly_connected(*_adjacency(idx))
+    label = _weak_labels(idx)
+    order = np.argsort(label, kind="stable")
+    cuts = run_starts(label[order]).tolist() + [len(label)]
+    ids = order.tolist()
+    return [ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def connected_components(graph: HopGraph, mode: ComponentMode) -> list[list[NodeKey]]:
     """The component partition, largest first, nodes sorted within each."""
-    comps = [sorted(c) for c in _components(graph, mode)]
+    comps = [sorted(c) for c in _components(graph.index, mode)]
     comps.sort(key=lambda c: (-len(c), c[0]))  # disjoint, so ties go by first node
     nodes = graph.index.nodes
     return [[nodes[i] for i in c] for c in comps]
@@ -259,9 +274,11 @@ class ComponentReport:
 
 
 def component_report(graph: HopGraph) -> ComponentReport:
-    n = len(graph.nodes)
-    scc = sorted(map(len, _components(graph, ComponentMode.STRONG)), reverse=True)
-    wcc = sorted(map(len, _components(graph, ComponentMode.WEAK)), reverse=True)
+    idx = graph.index
+    n = len(idx.nodes)
+    scc = sorted(map(len, _components(idx, ComponentMode.STRONG)), reverse=True)
+    sizes = np.bincount(_weak_labels(idx), minlength=n)
+    wcc = sorted(sizes[sizes > 0].tolist(), reverse=True)
     scc1, scc2 = (scc + [0, 0])[:2]
     wcc1, wcc2 = (wcc + [0, 0])[:2]
     return ComponentReport(

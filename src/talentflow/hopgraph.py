@@ -23,8 +23,12 @@ keys in sorted order, counts edge weights with one sort of the packed key
 source_rank * n + target_rank (distinct movers: with one more sort of
 pair_rank * n_users + user code, where pair_rank ranks the distinct pairs),
 prunes, and renumbers the surviving ranks with a cumulative sum, so the
-edges come out already in index order. The graph's node set and edge map
-are then read off the index. A graph built from key dicts (HopGraph(...),
+edges come out already in index order. The graph's node set is read off
+the index; its edge keys are built on read. GraphIndex.edges, the key
+tuples, and a built graph's edge map, an EdgeMap over the index, are made
+on their first read and kept. The edge map's length is the index's edge
+count, so building, analysing and exporting a graph makes no per-edge key
+object. A graph built from key dicts (HopGraph(...),
 import_graph_csv) is indexed by GraphIndex.of, which maps the keys to ids
 and hands them to the same array constructor, GraphIndex.of_ids.
 
@@ -36,6 +40,7 @@ in a list by node id, and write each edge from its ids and weight.
 from __future__ import annotations
 
 import csv
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
@@ -106,19 +111,20 @@ class GraphIndex:
 
     Node ids are positions in nodes, the node keys in sorted order. Edge i
     runs from node src[i] to node dst[i] with weight weight[i]; edges are
-    in (src, dst) order, which is the sorted order of their keys, and
-    edges[i] is the key of edge i. The arrays are read-only.
+    in (src, dst) order, which is the sorted order of their keys. The
+    arrays are read-only. edges, the key of each edge in that order, is
+    built on its first read and kept.
     """
 
     nodes: tuple[NodeKey, ...]
-    edges: tuple[tuple[NodeKey, NodeKey], ...]
     src: np.ndarray  # intp, numpy's index type: PageRank indexes with it each iteration
     dst: np.ndarray  # intp
     weight: np.ndarray  # int64
+    _edges: tuple[tuple[NodeKey, NodeKey], ...] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(
-        cls, nodes: Iterable[NodeKey], edges: dict[tuple[NodeKey, NodeKey], int]
+        cls, nodes: Iterable[NodeKey], edges: Mapping[tuple[NodeKey, NodeKey], int]
     ) -> "GraphIndex":
         """The index of a node set and an edge map keyed by node pairs."""
         order = tuple(sorted(nodes))
@@ -145,26 +151,72 @@ class GraphIndex:
         weight = weight[perm].astype(np.int64, copy=False)
         for a in (src, dst, weight):
             a.flags.writeable = False
-        key = nodes.__getitem__
-        edges = tuple(zip(map(key, src.tolist()), map(key, dst.tolist())))
-        return cls(nodes, edges, src, dst, weight)
+        return cls(nodes, src, dst, weight)
+
+    @property
+    def edges(self) -> tuple[tuple[NodeKey, NodeKey], ...]:
+        """Edge i's key (nodes[src[i]], nodes[dst[i]]) at position i."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", self._edge_keys())
+        return self._edges
+
+    def _edge_keys(self) -> tuple[tuple[NodeKey, NodeKey], ...]:
+        key = self.nodes.__getitem__
+        return tuple(zip(map(key, self.src.tolist()), map(key, self.dst.tolist())))
+
+
+class EdgeMap(Mapping):
+    """A built graph's edge map, {(u, v): weight} in index order.
+
+    Its length is the index's edge count; any other read builds the key
+    tuples (GraphIndex.edges) and the dict of them once, then reads that.
+    As a Mapping it compares equal to any mapping with the same items.
+    """
+
+    __slots__ = ("index", "_map")
+
+    def __init__(self, index: GraphIndex) -> None:
+        self.index = index
+        self._map: dict[tuple[NodeKey, NodeKey], int] | None = None
+
+    def _dict(self) -> dict[tuple[NodeKey, NodeKey], int]:
+        if self._map is None:
+            self._map = self._build()
+        return self._map
+
+    def _build(self) -> dict[tuple[NodeKey, NodeKey], int]:
+        return dict(zip(self.index.edges, self.index.weight.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.index.weight)
+
+    def __getitem__(self, edge: tuple[NodeKey, NodeKey]) -> int:
+        return self._dict()[edge]
+
+    def __iter__(self) -> Iterator[tuple[NodeKey, NodeKey]]:
+        return iter(self._dict())
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
 
 
 @dataclass(frozen=True)
 class HopGraph:
     """A built graph, frozen, with its integer index (see GraphIndex).
 
-    The node set is stored as a frozenset; node_support and edges must not
-    be mutated, because every analytic and export reads the index, which
-    build_graph makes first and a graph constructed from these fields
-    computes from them. An edge whose endpoint is not a node raises
-    ValueError.
+    The node set is stored as a frozenset. A graph that build_graph makes
+    reads its node set off the index and holds an EdgeMap over it, whose
+    keys are built on their first read; a graph constructed from these
+    fields keeps the edge mapping it is given and computes its index from
+    them. node_support and edges must not be mutated, because every
+    analytic and export reads the index. An edge whose endpoint is not a
+    node raises ValueError.
     """
 
     level: GraphLevel
     nodes: frozenset[NodeKey]
     node_support: dict[NodeKey, int]
-    edges: dict[tuple[NodeKey, NodeKey], int]
+    edges: Mapping[tuple[NodeKey, NodeKey], int]
     index: GraphIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -175,13 +227,13 @@ class HopGraph:
     def _of_index(
         cls, level: GraphLevel, index: GraphIndex, node_support: dict[NodeKey, int]
     ) -> "HopGraph":
-        """The graph of a finished index: nodes and edges are read off it, not re-keyed."""
+        """The graph of a finished index: its nodes are read off it, its edges are a view of it."""
         graph = cls.__new__(cls)
         for name, value in (
             ("level", level),
             ("nodes", frozenset(index.nodes)),
             ("node_support", node_support),
-            ("edges", dict(zip(index.edges, index.weight.tolist()))),
+            ("edges", EdgeMap(index)),
             ("index", index),
         ):
             object.__setattr__(graph, name, value)

@@ -75,3 +75,12 @@ def random_profile(rng: random.Random, user_id: str, max_jobs=6, **job_kw) -> Us
         education_entries=rng.randint(1, 2),
         jobs=tuple(random_job(rng, **job_kw) for _ in range(n)),
     )
+
+
+def counting(calls, name, fn):
+    """fn, adding one to calls[name] on each call (for monkeypatching)."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper

@@ -183,6 +183,9 @@ def test_no_active_profile_fails_every_loading_command(tmp_path, capsys, kind):
 
 
 PRUNING_COMMANDS = [
+    ["graph", "build", "--out", "o.csv", "--format", "csv"],
+    ["graph", "build", "--out", "o.csv", "--format", "dot"],
+    ["graph", "build", "--out", "o.csv", "--format", "graphml"],
     ["graph", "analyze", "--metric", "pagerank", "--out", "o.csv"],
     ["graph", "components"],
     ["graph", "components", "--out", "o.csv"],

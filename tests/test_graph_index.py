@@ -15,6 +15,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
@@ -24,18 +26,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import talentflow
-from talentflow import hopgraph
+from talentflow import hopgraph, reports
 from talentflow.graphalgo import (
     CentralityMetric,
     ComponentMode,
     Direction,
     _strongly_connected,
+    centrality_ccdf,
     component_report,
     connected_components,
     degree_centrality,
+    fit_power_law,
+    top_k,
     weighted_pagerank,
 )
 from talentflow.hopgraph import (
+    EdgeMap,
     ExportFormat,
     GraphIndex,
     GraphLevel,
@@ -46,8 +52,10 @@ from talentflow.hopgraph import (
     node_to_str,
 )
 from talentflow.hops import extract_all_hops
+from talentflow.ingest import filter_active, ingest_profiles
 from talentflow.model import JobKey
-from helpers import config, random_profile
+from talentflow.synthgen import GeneratorSpec, generate
+from helpers import config, counting, random_profile
 
 CFG = config("2016-06", min_support=1)
 FEW_ITERATIONS = config("2016-06", min_support=1, pagerank_max_iter=3)
@@ -423,6 +431,94 @@ def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_suppor
             assert a.dtype == b.dtype and a.tolist() == b.tolist() and not a.flags.writeable
 
 
+# --- edge keys built on read --------------------------------------------------
+
+def eager_edges(idx):
+    """The key tuples and edge dict of an index, as they were built eagerly."""
+    key = idx.nodes.__getitem__
+    keys = tuple(zip(map(key, idx.src.tolist()), map(key, idx.dst.tolist())))
+    return keys, dict(zip(keys, idx.weight.tolist()))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(GraphLevel)),
+    st.sampled_from([1, 3]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_edge_keys_read_as_the_eager_ones(tmp_path_factory, seed, level, min_support, distinct):
+    rng = random.Random(seed)
+    profiles = [random_profile(rng, f"u{i}", allow_invalid=False) for i in range(40)]
+    cfg = config("2016-06", min_support=min_support)
+    hops, _ = extract_all_hops(profiles, cfg)
+    graph = build_graph(hops, level, cfg, profiles=profiles, distinct_users=distinct)
+    idx = graph.index
+    keys, edges = eager_edges(idx)
+    assert len(graph.edges) == len(edges) and graph.sparsity() == (
+        len(edges) / len(graph.nodes) ** 2 if graph.nodes else 0.0
+    )
+    assert idx.edges == keys == tuple(sorted(keys))
+    assert graph.edges == edges and edges == graph.edges
+    assert list(graph.edges.items()) == list(edges.items())  # index order
+    assert graph.edges is graph.edges and idx.edges is idx.edges
+    assert graph.sorted_edges() == list(edges.items())
+
+    keyed = HopGraph(level, graph.nodes, graph.node_support, edges)
+    assert keyed == graph and graph == keyed and keyed.edges is edges
+    assert replace(graph) == graph and replace(graph, edges=edges) == graph
+    if edges:
+        fewer = dict(list(edges.items())[1:])
+        assert replace(graph, edges=fewer) != graph and graph.edges != fewer
+    path = export_graph(graph, ExportFormat.CSV_EDGELIST, tmp_path_factory.mktemp("e") / "g.csv")
+    back = import_graph_csv(path, level)
+    assert back.edges == graph.edges and graph.edges == back.edges
+    assert back.nodes == {n for edge in edges for n in edge}
+    touched = HopGraph(level, back.nodes, {}, graph.edges)
+    assert back == touched
+
+
+def test_graph_sweep_and_report_all_build_no_edge_key(tmp_path, monkeypatch):
+    # Building, analysing and exporting a graph reads its id arrays only:
+    # no edge key tuple and no edge dict is made unless a key is read.
+    spec = GeneratorSpec(seed=5, n_users=300)
+    generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
+    profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
+    active = filter_active(profiles)
+    cfg = config(str(spec.curr_date), min_support=1)
+    hops, _ = extract_all_hops(active, cfg)
+    calls = Counter()
+    monkeypatch.setattr(GraphIndex, "_edge_keys", counting(calls, "key tuples", GraphIndex._edge_keys))
+    monkeypatch.setattr(EdgeMap, "_build", counting(calls, "edge dict", EdgeMap._build))
+
+    reports.write_all_reports(profiles, cfg, tmp_path / "out")
+    graphs = []
+    for level in GraphLevel:
+        for distinct in (False, True):
+            graph = build_graph(hops, level, cfg, profiles=active, distinct_users=distinct)
+            tables = [
+                degree_centrality(graph, Direction.IN),
+                degree_centrality(graph, Direction.OUT),
+                weighted_pagerank(graph, cfg),
+            ]
+            component_report(graph)
+            for table in tables:
+                centrality_ccdf(table)
+                top_k(table, 20)
+                fit_power_law([max(1, round(s * 1e6)) for s in table.scores.values()], 3)
+            for fmt in ExportFormat:
+                export_graph(graph, fmt, tmp_path / f"{level.value}{distinct}.{fmt.value}")
+            assert len(graph.edges) == len(graph.index.src) > 0 and graph.sparsity() > 0
+            graphs.append(graph)
+    assert calls == Counter()
+
+    graph = graphs[0]
+    first = next(iter(graph.edges))
+    assert graph.edges[first] == graph.index.weight[0] and graph.index.edges[0] == first
+    assert dict(graph.edges) == eager_edges(graph.index)[1]
+    assert calls == Counter({"key tuples": 1, "edge dict": 1})
+
+
 # --- the edge-cursor Tarjan against the frame loop ----------------------------
 
 def csr(n, edges):
@@ -483,6 +579,36 @@ def test_cursor_tarjan_on_a_deep_ring(tail):
     )
     comps = connected_components(graph, ComponentMode.STRONG)
     assert comps[0] == names[tail:] and len(comps) == tail + 1
+
+
+# --- weak components by hooking ----------------------------------------------
+
+PATH = 20_000
+PATH_ORDERS = {
+    "monotone": list(range(PATH)),
+    "reversed": list(range(PATH - 1, -1, -1)),
+    "shuffled": random.Random(17).sample(range(PATH), PATH),
+    "zigzag": [v for pair in zip(range(PATH // 2), range(PATH - 1, PATH // 2 - 1, -1)) for v in pair],
+}
+
+
+@pytest.mark.parametrize("order", sorted(PATH_ORDERS))
+def test_weak_components_of_a_long_path_match_the_reference(order):
+    # The path's n-th node has about id PATH_ORDERS[order][n], so the
+    # smallest ids sit at its ends, its middle or all over it. One id in
+    # every 1001 is left off the path as an isolated node, and a few nodes
+    # carry self-loops.
+    spread = [v + v // 1000 for v in PATH_ORDERS[order]]
+    isolated = [v * 1001 + 1000 for v in range(PATH // 1000)]
+    names = [f"n{v:06d}" for v in range(PATH + len(isolated))]
+    edges = {(names[u], names[v]): 1 for u, v in zip(spread, spread[1:])}
+    edges.update({(names[v], names[v]): 2 for v in spread[::997] + isolated[::3]})
+    graph = HopGraph(level=GraphLevel.ORG, nodes=set(names), node_support={}, edges=edges)
+    want = reference_components(graph, ComponentMode.WEAK)
+    assert len(want) == 1 + len(isolated) and len(want[0]) == PATH
+    assert connected_components(graph, ComponentMode.WEAK) == want
+    report = component_report(graph)
+    assert (report.wcc_count, report.largest_wcc_size, report.second_wcc_size) == (len(want), PATH, 1)
 
 
 # --- csv quoting ---------------------------------------------------------------

@@ -64,7 +64,7 @@ from talentflow.model import (
 from talentflow.ingest import filter_active, ingest_profiles
 from talentflow.reports import write_distributions, write_level_gain_hist
 from talentflow.synthgen import GeneratorSpec, generate
-from helpers import config
+from helpers import config, counting
 
 
 # --- reference implementations ---------------------------------------------
@@ -467,14 +467,6 @@ def test_empty_result_and_read_only_columns():
             a[0] = 1
     with pytest.raises(ValueError, match="analysis date"):
         extract_all_hops(stints, config("2015-06"))
-
-
-def counting(calls, name, fn):
-    def wrapper(*args, **kwargs):
-        calls[name] += 1
-        return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def count_constructions(monkeypatch, calls, *classes):
