@@ -13,10 +13,14 @@ One JSON object per line, UTF-8:
 
 A null/missing job end means the job is still held. Malformed lines are
 rejected individually (reason MALFORMED) and processing continues; a repeated
-user_id keeps the first occurrence and rejects the rest (DUPLICATE_ID).
+user_id keeps the first occurrence and rejects the rest (DUPLICATE_ID). A
+line that json cannot decode is malformed, also one nested too deep or with
+an integer literal too long to convert, and so is a record whose user_id or
+job label cannot be encoded as UTF-8 (a lone surrogate escape such as
+"\\ud800"); such a skill is dropped, as a blank one is.
 
-Each accepted profile goes straight into the columns of a ProfileTable (see
-model.ProfileTable): labels become integer ids, each distinct raw label
+Each accepted profile goes straight into a model.ProfileColumns, the one
+builder of a ProfileTable: labels become integer ids, each distinct raw label
 normalized once, and dates month ordinals, each distinct date text parsed
 once. No UserProfile or JobRecord is built; the table builds them as views
 when one is read.
@@ -40,6 +44,7 @@ from .model import (
     NO_DATE,
     DateMonth,
     InvalidLabelError,
+    ProfileColumns,
     ProfileTable,
     UserProfile,
     groups,
@@ -70,35 +75,28 @@ class IngestReport:
         self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + 1
 
 
-class _Interned:
-    """One ingest call's codes: each distinct raw label is normalized once
-    and each distinct date text parsed once.
+class _Interned(ProfileColumns):
+    """One ingest call's columns, which also code the raw input: each
+    distinct raw label is normalized once and each distinct date text
+    parsed once.
 
-    ids maps raw and normalized labels to integer ids, positions in labels,
-    so equal labels share one id and one string. ordinals maps date texts to
-    month ordinals, and months each ordinal to one DateMonth.
+    ids maps each raw label too, to the id of its normalized form, so equal
+    labels share one id and one string. ordinals maps date texts to month
+    ordinals.
     """
 
     def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self.labels: list[str] = []
+        super().__init__()
         self.ordinals: dict[str, int] = {}
-        self.months: dict[int, DateMonth] = {}
 
-    def label(self, raw: str) -> int:
+    def raw_label(self, raw: str) -> int:
         if (label_id := self.ids.get(raw)) is None:
-            label = normalize_label(raw)
-            if (label_id := self.ids.get(label)) is None:
-                label_id = self.ids[label] = len(self.labels)
-                self.labels.append(label)
-            self.ids[raw] = label_id
+            label_id = self.ids[raw] = self.label(normalize_label(raw))
         return label_id
 
     def date(self, text: str) -> int:
         if (ordinal := self.ordinals.get(text)) is None:
-            month = DateMonth.parse(text)
-            ordinal = self.ordinals[text] = month.ordinal
-            self.months.setdefault(ordinal, month)
+            ordinal = self.ordinals[text] = self.ordinal(DateMonth.parse(text))
         return ordinal
 
 
@@ -127,7 +125,7 @@ def _label(value: object, memo: _Interned, where: str, name: str) -> int:
     if not isinstance(value, str):
         raise MalformedRecordError(f"{where}{name}: expected string, got {value!r}")
     try:
-        return memo.label(value)
+        return memo.raw_label(value)
     except InvalidLabelError as exc:
         raise MalformedRecordError(f"{where}{name}: {exc}") from exc
 
@@ -138,7 +136,7 @@ def _skills(raw: list, memo: _Interned) -> set[int]:
         if not isinstance(s, str):
             raise MalformedRecordError(f"skills: expected string entries, got {s!r}")
         try:
-            skills.add(memo.label(s))
+            skills.add(memo.raw_label(s))
         except InvalidLabelError:
             continue  # blank skill strings are noise, not a reason to reject
     return skills
@@ -166,7 +164,9 @@ def _parse_record(line: str, memo: _Interned) -> _Record:
     """Validate one JSONL record; raises MalformedRecordError at the first fault."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer literal past the
+        # int-to-str digit limit; RecursionError: nesting too deep to decode.
         raise MalformedRecordError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"expected JSON object, got {type(obj).__name__}")
@@ -174,6 +174,11 @@ def _parse_record(line: str, memo: _Interned) -> _Record:
     user_id = obj.get("user_id")
     if not isinstance(user_id, str) or not user_id.strip():
         raise MalformedRecordError("user_id: missing or empty")
+    if not user_id.isascii():
+        try:
+            user_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedRecordError(f"user_id: not encodable as UTF-8: {user_id!r}") from exc
 
     education = obj.get("education_count", 0)
     if not isinstance(education, int) or isinstance(education, bool) or education < 0:
@@ -213,54 +218,6 @@ def _parse_record(line: str, memo: _Interned) -> _Record:
     return user_id.strip(), _grad_date(obj.get("grad_date"), memo), education, skills, jobs
 
 
-class _Columns:
-    """Accepted records as flat int lists, until table() packs them."""
-
-    def __init__(self) -> None:
-        self.user_id: list[str] = []
-        self.grad: list[int] = []
-        self.education: list[int] = []
-        self.skill_count: list[int] = []
-        self.skill: list[int] = []
-        self.job_count: list[int] = []
-        self.job: list[int] = []  # five per job, as in _Record
-
-    def add(self, record: _Record) -> None:
-        user_id, grad, education, skills, jobs = record
-        self.user_id.append(user_id)
-        self.grad.append(grad)
-        self.education.append(education)
-        self.skill_count.append(len(skills))
-        self.skill += skills
-        self.job_count.append(len(jobs) // 5)
-        self.job += jobs
-
-    def table(self, memo: _Interned, report: IngestReport | None = None) -> ProfileTable:
-        """The profile table; with a report, industries are repaired first."""
-        n = len(self.user_id)
-        title, organization, industry, start, end = (
-            np.array(self.job, np.int64).reshape(-1, 5).T.copy()
-        )
-        if report is not None:
-            industry = _repair_industries(organization, industry, memo.labels, report)
-        return ProfileTable(
-            tuple(memo.labels),
-            tuple(self.user_id),
-            np.arange(n),
-            np.array(self.grad, np.int64),
-            np.array(self.education, np.int64),
-            np.cumsum([0] + self.skill_count),
-            np.array(self.skill, np.intp),
-            np.repeat(np.arange(n), self.job_count),
-            title,
-            organization,
-            industry,
-            start,
-            end,
-            memo.months,
-        )
-
-
 def _repair_industries(
     organization: np.ndarray, industry: np.ndarray, labels: list[str], report: IngestReport
 ) -> np.ndarray:
@@ -286,10 +243,9 @@ def _repair_industries(
 
 def parse_profile_line(line: str) -> UserProfile:
     """Parse one JSONL record into a UserProfile; raises MalformedRecordError."""
-    memo = _Interned()
-    columns = _Columns()
-    columns.add(_parse_record(line, memo))
-    return columns.table(memo)[0]
+    columns = _Interned()
+    columns.add(*_parse_record(line, columns))
+    return columns.table()[0]
 
 
 def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
@@ -299,9 +255,7 @@ def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
     views in input order. Blank lines are skipped without being counted.
     """
     report = IngestReport()
-    columns = _Columns()
-    seen_ids: set[str] = set()
-    memo = _Interned()
+    columns = _Interned()
 
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -309,17 +263,20 @@ def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
                 continue
             report.total_records += 1
             try:
-                record = _parse_record(line, memo)
+                record = _parse_record(line, columns)
             except MalformedRecordError:
                 report._reject(REASON_MALFORMED)
                 continue
-            if record[0] in seen_ids:
+            if record[0] in columns.seen_ids:
                 report._reject(REASON_DUPLICATE_ID)
                 continue
-            seen_ids.add(record[0])
-            columns.add(record)
+            columns.add(*record)
 
-    profiles = columns.table(memo, report)
+    profiles = columns.table(
+        lambda organization, industry: _repair_industries(
+            organization, industry, columns.labels, report
+        )
+    )
     report.active_records = int(np.count_nonzero(profiles.is_active))
     report.inactive_records = len(profiles) - report.active_records
     return profiles, report

@@ -12,9 +12,11 @@ must never key one dict.
 
 A corpus is a ProfileTable: integer columns per user (id, graduation month,
 education count, skill ids) and per job (user, title, organization and
-industry label ids, start and end months). Ingest fills it directly, and a
-list of UserProfile objects is packed into the same columns; UserProfile
-and JobRecord objects are views a table builds only when one is read.
+industry label ids, start and end months). One builder, ProfileColumns,
+makes every table: ingest fills it straight from the parsed lines, and
+ProfileTable.of from a list of UserProfile objects. UserProfile and
+JobRecord objects are views a table builds only when one is read; the
+views of a packed list equal its objects but are not them.
 
 usable_stints is the one rule for which stints count. StintTable applies it
 once to a whole profile table at one analysis date, as a mask over the job
@@ -27,19 +29,19 @@ from __future__ import annotations
 
 import re
 import string
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, starmap
+from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 _ASCII_FOLD = str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
-_DATE_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})")
 
 
 class InvalidLabelError(ValueError):
-    """A label was empty after normalization."""
+    """A label was empty after normalization, or not encodable as UTF-8."""
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -57,7 +59,7 @@ class DateMonth:
 
     @classmethod
     def parse(cls, text: str) -> "DateMonth":
-        m = _DATE_RE.match(text)
+        m = _DATE_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"expected YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
@@ -80,13 +82,21 @@ def normalize_label(raw: str) -> str:
     Trims surrounding whitespace, collapses internal whitespace runs to a
     single space, and lowercases A-Z only (locale-independent). Idempotent.
 
-    Raises InvalidLabelError if nothing remains.
+    Raises InvalidLabelError if nothing remains, or if the label cannot be
+    encoded as UTF-8 (it holds a lone surrogate such as "\\ud800").
     """
     # str.split() splits on exactly the characters str.isspace() accepts,
     # the set the regex class \s matches, and drops empty ends; str.lower()
     # on ASCII text changes only A-Z.
     label = " ".join(raw.split())
-    label = label.lower() if label.isascii() else label.translate(_ASCII_FOLD)
+    if label.isascii():
+        label = label.lower()
+    else:
+        label = label.translate(_ASCII_FOLD)
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InvalidLabelError(f"label not encodable as UTF-8: {raw!r}") from exc
     if not label:
         raise InvalidLabelError(f"label empty after normalization: {raw!r}")
     return label
@@ -200,9 +210,9 @@ class ProfileTable(RowViews):
     job is held; user u's rows are job_start[u]:job_start[u + 1].
 
     Indexing builds a UserProfile view and job(r) a JobRecord view, each only
-    when read. Views share the table's label strings and the DateMonth
-    objects in months; a table packed from objects (of) hands back their own
-    JobRecords, so hops of object profiles are the profiles' own records.
+    when read, also for a table packed from objects (of): its views equal
+    the objects but are not them. Views share the table's label strings and
+    the DateMonth objects in months. A ProfileColumns builds every table.
     The first iteration over the table keeps the views it built, so that
     iterating again costs what it costs over a list: views cost about 6 us
     a job to build, so a loop that rescans 4,000 profiles (25,000 jobs) per
@@ -225,7 +235,6 @@ class ProfileTable(RowViews):
     start: np.ndarray  # int64
     end: np.ndarray  # int64
     months: Mapping[int, DateMonth] = field(default_factory=dict)
-    job_objects: tuple[JobRecord, ...] | None = None  # per job row, when packed
     job_start: np.ndarray = field(init=False)
     _views: tuple[UserProfile, ...] | None = field(default=None, init=False)
 
@@ -247,43 +256,16 @@ class ProfileTable(RowViews):
         """
         if isinstance(profiles, ProfileTable):
             return profiles
-        profiles = tuple(profiles)
-        return cls._pack(
-            [p.user_id for p in profiles],
-            [p.grad_date for p in profiles],
-            [p.education_entries for p in profiles],
-            [p.skills for p in profiles],
-            [p.jobs for p in profiles],
-        )
-
-    @classmethod
-    def _pack(cls, user_ids, grads, educations, skills, jobs) -> "ProfileTable":
-        ids: dict[str, int] = {}
-
-        def code(labels: Iterable[str]) -> np.ndarray:
-            return np.fromiter((ids.setdefault(s, len(ids)) for s in labels), np.intp)
-
-        rows = tuple(chain.from_iterable(jobs))
-        skill = code(chain.from_iterable(skills))
-        title = code(j.title for j in rows)
-        organization = code(j.organization for j in rows)
-        industry = code(j.industry for j in rows)
-        return cls(
-            tuple(ids),
-            tuple(user_ids),
-            _codes(list(user_ids))[0],
-            _ordinals(grads),
-            _column(educations),
-            _offsets(_column(map(len, skills))),
-            skill,
-            np.repeat(np.arange(len(user_ids)), _column(map(len, jobs))),
-            title,
-            organization,
-            industry,
-            _ordinals([j.start for j in rows]),
-            _ordinals([j.end for j in rows]),
-            job_objects=rows,
-        )
+        columns = ProfileColumns()
+        for p in profiles:
+            columns.add(
+                p.user_id,
+                columns.ordinal(p.grad_date),
+                p.education_entries,
+                list(map(columns.label, p.skills)),
+                [i for j in p.jobs for i in columns.job(j)],
+            )
+        return columns.table()
 
     def __len__(self) -> int:
         return len(self.user_id)
@@ -306,8 +288,6 @@ class ProfileTable(RowViews):
 
     def _jobs(self, first: int, last: int) -> tuple[JobRecord, ...]:
         """Job rows first:last as JobRecords."""
-        if self.job_objects is not None:
-            return self.job_objects[first:last]
         labels, month = self.labels, self.month
         return tuple(
             JobRecord(labels[t], labels[o], labels[i], month(s), None if e == NO_DATE else month(e))
@@ -359,12 +339,103 @@ class ProfileTable(RowViews):
             self.start[rows],
             self.end[rows],
             self.months,
-            None if self.job_objects is None
-            else tuple(map(self.job_objects.__getitem__, rows.tolist())),
         )
 
     def __repr__(self) -> str:
         return f"ProfileTable({len(self)} profiles, {len(self.user)} jobs)"
+
+
+class ProfileColumns:
+    """Profiles appended as flat int lists, until table() packs them.
+
+    The one way a ProfileTable is built: ingest, ProfileTable.of and
+    StintTable.of_endpoints all fill one. ids maps labels to their ids,
+    positions in labels (ingest also enters each raw label there, under the
+    id of its normalized form); months maps each month ordinal to one
+    DateMonth; seen_ids holds the user ids added. User codes number the ids
+    in order of first appearance, so equal ids get equal codes; while the
+    ids are distinct, as ingest keeps them, a code is the user's position.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[str, int] = {}
+        self.labels: list[str] = []
+        self.months: dict[int, DateMonth] = {}
+        self.seen_ids: set[str] = set()
+        self.user_id: list[str] = []
+        self.grad: list[int] = []
+        self.education: list[int] = []
+        self.skill_count: list[int] = []
+        self.skill: list[int] = []
+        self.job_count: list[int] = []
+        self.jobs: list[int] = []  # five per job, as job() gives them
+
+    def label(self, label: str) -> int:
+        """The id of a label, coded as it is."""
+        if (label_id := self.ids.get(label)) is None:
+            label_id = self.ids[label] = len(self.labels)
+            self.labels.append(label)
+        return label_id
+
+    def ordinal(self, date: DateMonth | None) -> int:
+        """The month ordinal of a date, NO_DATE for None.
+
+        A date before year 0 raises ValueError: its ordinal would read as
+        NO_DATE or below.
+        """
+        if date is None:
+            return NO_DATE
+        if date.ordinal < 0:
+            raise ValueError(f"dates before year 0 are not supported: {date}")
+        return self.months.setdefault(date.ordinal, date).ordinal
+
+    def job(self, j: JobRecord) -> tuple[int, int, int, int, int]:
+        """A job's title, organization and industry ids, start and end ordinals."""
+        label, ordinal = self.label, self.ordinal
+        return (label(j.title), label(j.organization), label(j.industry),
+                ordinal(j.start), ordinal(j.end))
+
+    def add(
+        self, user_id: str, grad: int, education: int, skills: Collection[int], jobs: Sequence[int]
+    ) -> None:
+        """Append one profile: graduation ordinal or NO_DATE, education count,
+        distinct skill ids, and five ints per job as job() gives them."""
+        self.seen_ids.add(user_id)
+        self.user_id.append(user_id)
+        self.grad.append(grad)
+        self.education.append(education)
+        self.skill_count.append(len(skills))
+        self.skill += skills
+        self.job_count.append(len(jobs) // 5)
+        self.jobs += jobs
+
+    def table(
+        self, repair: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    ) -> ProfileTable:
+        """The profile table; repair, given, maps the organization and
+        industry columns to the industry column the table keeps."""
+        n = len(self.user_id)
+        title, organization, industry, start, end = (
+            np.array(self.jobs, np.int64).reshape(-1, 5).T.copy()
+        )
+        if repair is not None:
+            industry = repair(organization, industry)
+        return ProfileTable(
+            tuple(self.labels),
+            tuple(self.user_id),
+            np.arange(n) if len(self.seen_ids) == n else _codes(self.user_id),
+            np.array(self.grad, np.int64),
+            np.array(self.education, np.int64),
+            _offsets(self.skill_count),
+            np.array(self.skill, np.intp),
+            np.repeat(np.arange(n), self.job_count),
+            title,
+            organization,
+            industry,
+            start,
+            end,
+            self.months,
+        )
 
 
 @dataclass
@@ -400,19 +471,6 @@ def usable_stints(
     drops.future_jobs += int(np.count_nonzero(future))
     drops.invalid_period_jobs += int(np.count_nonzero(invalid))
     return ~(future | invalid)
-
-
-def usable_jobs(
-    profile: UserProfile, curr_date: DateMonth, drops: StintDrops | None = None
-) -> list[JobRecord]:
-    """The profile's stints that count (see usable_stints), in listing order.
-
-    The stint counts of StintTable.drops are added to drops when given.
-    """
-    stints = StintTable.of([profile], curr_date)
-    if drops is not None:
-        drops.add(stints.drops)
-    return list(map(stints.job, range(len(stints))))
 
 
 NO_EXPERIENCE = -1  # StintTable.work_exp where work experience is undefined
@@ -485,8 +543,11 @@ class StintTable:
     @classmethod
     def of_endpoints(cls, user_ids: Sequence[str], jobs: Sequence[JobRecord]) -> "StintTable":
         """A table of hop endpoints: row r is jobs[r], held by user_ids[r]."""
-        n = len(jobs)
-        source = ProfileTable._pack(user_ids, [None] * n, [0] * n, [()] * n, [(j,) for j in jobs])
+        columns = ProfileColumns()
+        for user_id, j in zip(user_ids, jobs):
+            columns.add(user_id, NO_DATE, 0, (), columns.job(j))
+        source = columns.table()
+        n = len(source)
         return _stint_table(
             None, source, np.arange(n), source.end, np.full(n, NO_EXPERIENCE, np.int64),
             StintDrops(),
@@ -519,10 +580,6 @@ class StintTable:
         return np.where(end == NO_DATE, curr_date.ordinal, end)
 
 
-def _column(values: Iterable[int]) -> np.ndarray:
-    return np.fromiter(values, np.int64)
-
-
 def _offsets(counts: np.ndarray) -> np.ndarray:
     """Where each of the runs of the given lengths starts, and the total."""
     out = np.zeros(len(counts) + 1, np.intp)
@@ -530,19 +587,10 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ordinals(dates: Sequence[DateMonth | None]) -> np.ndarray:
-    """Month ordinals, NO_DATE for None; a date before year 0 raises ValueError."""
-    out = _column(NO_DATE if d is None else d.ordinal for d in dates)
-    if np.count_nonzero(out <= NO_DATE) != sum(d is None for d in dates):
-        raise ValueError("dates before year 0 are not supported")
-    return out
-
-
-def _codes(values: list) -> tuple[np.ndarray, tuple]:
-    """(code per value, distinct values): codes number values by first appearance."""
-    distinct = tuple(dict.fromkeys(values))
-    ids = dict(zip(distinct, range(len(distinct))))
-    return np.fromiter(map(ids.__getitem__, values), np.intp, len(values)), distinct
+def _codes(values: Sequence) -> np.ndarray:
+    """A code per value: the values numbered in order of first appearance."""
+    codes: dict = {}
+    return np.fromiter((codes.setdefault(v, len(codes)) for v in values), np.intp, len(values))
 
 
 def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from talentflow.model import AnalysisConfig, DateMonth, JobRecord, UserProfile
+from talentflow.model import AnalysisConfig, DateMonth, JobRecord, StintDrops, UserProfile
 
 
 def dm(text: str) -> DateMonth:
@@ -29,6 +29,31 @@ def profile(user_id="u1", grad=None, skills=("python",), education=1, jobs=()) -
         education_entries=education,
         jobs=tuple(jobs),
     )
+
+
+def usable_jobs(
+    profile: UserProfile, curr_date: DateMonth, drops: StintDrops | None = None
+) -> list[JobRecord]:
+    """The profile's stints that count, in listing order: model.usable_stints
+    on objects, the reference the tests read stints through.
+
+    A stint counts when it starts no later than the analysis date and does
+    not end before it starts. When drops is given, the others are counted
+    there by reason, one that fails both tests as a future start, and so are
+    the usable ones that ended before graduation, as StintTable.drops has it.
+    """
+    drops = StintDrops() if drops is None else drops
+    usable = []
+    for j in profile.jobs:
+        if j.start > curr_date:
+            drops.future_jobs += 1
+        elif not j.has_valid_period(curr_date):
+            drops.invalid_period_jobs += 1
+        else:
+            usable.append(j)
+            if profile.grad_date is not None and j.end_or(curr_date) < profile.grad_date:
+                drops.negative_experience_jobs += 1
+    return usable
 
 
 def config(curr="2016-06", **kwargs) -> AnalysisConfig:

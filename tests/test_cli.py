@@ -374,3 +374,27 @@ def test_importing_the_package_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_report_all_drops_a_record_utf8_cannot_encode(tmp_path, capsys):
+    # UTF-8 cannot encode a job title holding a lone surrogate escape, so
+    # its record is malformed and report-all writes the reports of the
+    # corpus without it, instead of stopping part way through its CSVs.
+    generate(GeneratorSpec(seed=5, n_users=30), tmp_path / "clean.jsonl", tmp_path / "truth.json")
+    lines = (tmp_path / "clean.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    k = next(i for i, line in enumerate(lines) if len(json.loads(line)["jobs"]) > 1)
+    record = json.loads(lines[k])
+    for job in record["jobs"]:
+        job["title"] = "lead \ud800"
+    (tmp_path / "dirty.jsonl").write_text(
+        "".join(lines[:k] + [json.dumps(record) + "\n"] + lines[k + 1:]), encoding="utf-8"
+    )
+    (tmp_path / "dropped.jsonl").write_text("".join(lines[:k] + lines[k + 1:]), encoding="utf-8")
+    flags = ["--min-support", "1", "--cohort-min-support", "1", "--curr-date", "2016-06"]
+    for name in ("dirty", "dropped"):
+        assert main(["report-all", "--input", str(tmp_path / f"{name}.jsonl"),
+                     "--out-dir", str(tmp_path / name), *flags]) == 0
+    written = sorted(p.name for p in (tmp_path / "dirty").iterdir())
+    assert len(written) == 9
+    for name in written:
+        assert (tmp_path / "dirty" / name).read_bytes() == (tmp_path / "dropped" / name).read_bytes()

@@ -6,6 +6,7 @@ from talentflow.ingest import (
     REASON_DUPLICATE_ID,
     REASON_MALFORMED,
     IngestReport,
+    MalformedRecordError,
     filter_active,
     ingest_profiles,
     parse_profile_line,
@@ -67,6 +68,44 @@ def test_malformed_line_isolated(tmp_path):
     assert len(profiles) == 9
     assert report.rejection_reasons == {REASON_MALFORMED: 1}
     assert report.total_records == 10
+
+
+# A line nested past the recursion limit, and one with an integer literal
+# past the int-to-str digit limit: json.loads raises RecursionError and
+# ValueError (not JSONDecodeError) on them.
+UNDECODABLE = ["[" * 100_000, '{"user_id": "u2", "education_count": 1' + "0" * 4_301 + "}"]
+
+
+def test_lines_json_cannot_decode_are_malformed(tmp_path):
+    path = write_corpus(tmp_path, [record("u1"), *UNDECODABLE])
+    profiles, report = ingest_profiles(path)
+    assert [p.user_id for p in profiles] == ["u1"]
+    assert report.rejection_reasons == {REASON_MALFORMED: 2}
+    assert report.total_records == 3
+    for line in UNDECODABLE:
+        with pytest.raises(MalformedRecordError, match="invalid JSON"):
+            parse_profile_line(line)
+
+
+def test_text_not_encodable_as_utf8_is_malformed_or_dropped(tmp_path):
+    # json.dumps writes each lone surrogate as a \ud800-style escape.
+    job = {"title": "lead \ud800", "organization": "Acme", "industry": "Tech",
+           "start": "2010-07", "end": None}
+    path = write_corpus(tmp_path, [
+        record("u1", skills=("python", "sql \udfff")),
+        record("u2\ud800"),
+        record("u3", jobs=[job]),
+        record("u4", jobs=[{**job, "title": "lead", "organization": "\udc80"}]),
+        record("u5"),
+    ])
+    profiles, report = ingest_profiles(path)
+    assert [p.user_id for p in profiles] == ["u1", "u5"]
+    assert profiles[0].skills == frozenset({"python"})
+    assert report.rejection_reasons == {REASON_MALFORMED: 3}
+    with pytest.raises(MalformedRecordError, match="user_id"):
+        parse_profile_line(json.dumps(record("u2\ud800")))
+    with pytest.raises(MalformedRecordError, match=r"jobs\[0\]\.title"):
+        parse_profile_line(json.dumps(record("u3", jobs=[job])))
 
 
 def test_duplicate_id_first_wins(tmp_path):

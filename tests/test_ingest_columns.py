@@ -5,8 +5,9 @@ UserProfile of JobRecords and repairs industries by rewriting those
 objects. ingest_profiles must agree with it exactly -- the same profiles,
 the same IngestReport, and for every line the same profile or the same
 MalformedRecordError text from parse_profile_line -- on JSONL corpora with
-invalid JSON, non-object lines, wrongly typed fields, bad dates, blank
-skills, duplicate ids, blank lines, label variants and industry conflicts
+invalid JSON (also nested too deep or with too long an integer), non-object
+lines, wrongly typed fields, bad dates, blank skills, text UTF-8 cannot
+encode, duplicate ids, blank lines, label variants and industry conflicts
 with ties.
 """
 
@@ -103,13 +104,17 @@ def ref_parse_job(obj, where, memo):
 def ref_parse_profile(line, memo):
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecordError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"expected JSON object, got {type(obj).__name__}")
     user_id = obj.get("user_id")
     if not isinstance(user_id, str) or not user_id.strip():
         raise MalformedRecordError("user_id: missing or empty")
+    try:
+        user_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedRecordError(f"user_id: not encodable as UTF-8: {user_id!r}") from None
     education = obj.get("education_count", 0)
     if not isinstance(education, int) or isinstance(education, bool) or education < 0:
         raise MalformedRecordError(f"education_count: expected count >= 0, got {education!r}")
@@ -211,10 +216,16 @@ WRONG = st.one_of(
 TITLES = st.sampled_from(["engineer", "Engineer ", "analyst", "Señor lead", "señor  LEAD"])
 ORGS = st.sampled_from(["Acme", "acme", " ACME ", "acme\t", "Globex", "globex", "Initech"])
 INDUSTRIES = st.sampled_from(["Tech", "tech ", "Finance", "FINANCE", "fin"])
-SKILLS = st.sampled_from(["python", "Python", " sql", "SQL", "", "   "])
-BLANK = st.sampled_from(["", "   ", "\t"])
+SKILLS = st.sampled_from(["python", "Python", " sql", "SQL", "", "   ", "sql \udfff"])
+# Blank text, and a lone surrogate, which UTF-8 cannot encode.
+BLANK = st.sampled_from(["", "   ", "\t", "lead \ud800"])
 DATES = st.sampled_from(["2009-12", "2010-01", "2010-07", "2011-03", "2012-01", "2015-06"])
-BAD_DATES = st.sampled_from(["2010-1", "2010-13", "2010-00", "10-01", "2010/01", "", "2010-01 "])
+BAD_DATES = st.sampled_from([
+    "2010-1", "2010-13", "2010-00", "10-01", "2010/01", "", "2010-01 ", "2010-01\n",
+    "\u0662\u0660\u0661\u0660-\u0660\u0661", "\uff12\uff10\uff11\uff10-\uff10\uff11",
+])
+# Lines json.loads fails on with RecursionError and with ValueError.
+UNDECODABLE = ["[" * 100_000, '{"user_id": "u1", "education_count": 1' + "0" * 4_301 + "}"]
 
 
 @st.composite
@@ -266,7 +277,7 @@ def fault_st(draw, record):
 @st.composite
 def record_st(draw):
     record = {
-        "user_id": draw(st.sampled_from(["u1", "u2", "u3", "u4", " u1 ", "u5", "u6"])),
+        "user_id": draw(st.sampled_from(["u1", "u2", "u3", "u4", " u1 ", "u5", "u6", "u7\udc80"])),
         "grad_date": draw(st.one_of(st.none(), DATES, st.lists(DATES, max_size=3))),
         "education_count": draw(st.integers(0, 2)),
         "skills": draw(st.lists(SKILLS, max_size=3)),
@@ -286,7 +297,7 @@ LINE = st.one_of(
     record_st().map(json.dumps),
     record_st().map(json.dumps),
     record_st().map(json.dumps),
-    st.sampled_from(["{not json", "[1, 2]", "3", '"u1"', "null", "", "   ", "\t"]),
+    st.sampled_from(["{not json", "[1, 2]", "3", '"u1"', "null", "", "   ", "\t", *UNDECODABLE]),
 )
 
 
@@ -382,6 +393,24 @@ def test_positions_read_like_a_list():
     for outside in (n, -n - 1):
         with pytest.raises(IndexError):
             table[outside]
+
+
+def test_packed_objects_keep_ids_and_dates():
+    rng = random.Random(9)
+    objects = [random_profile(rng, u) for u in ("u1", "u2", "u1", "u3", "u2")]
+    table = ProfileTable.of(objects)
+    assert table.user_code.tolist() == [0, 1, 0, 2, 1]
+    assert table == objects and list(table) == objects
+    # Views equal the objects, but are not them.
+    assert any(p.jobs for p in objects)
+    assert all(a is not b for p, q in zip(table, objects) for a, b in zip(p.jobs, q.jobs))
+    early = DateMonth(-1, 12)  # its ordinal, -1, would read as no date
+    held = JobRecord("a", "o", "i", DateMonth(2010, 1))
+    for bad in (UserProfile("u", early, frozenset(), 0, ()),
+                UserProfile("u", None, frozenset(), 0, (replace(held, start=early),)),
+                UserProfile("u", None, frozenset(), 0, (replace(held, end=early),))):
+        with pytest.raises(ValueError, match="before year 0"):
+            ProfileTable.of([bad])
 
 
 def test_one_position_costs_no_pass_over_the_table():

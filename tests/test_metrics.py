@@ -19,8 +19,8 @@ from talentflow.metrics import (
     work_experience,
     work_experience_of_jobkey,
 )
-from talentflow.model import JobKey, OrgJobKey, months_between, usable_jobs
-from helpers import config, job, profile, random_profile
+from talentflow.model import JobKey, OrgJobKey, months_between
+from helpers import config, job, profile, random_profile, usable_jobs
 
 CFG = config("2016-06")
 

@@ -57,7 +57,10 @@ def test_date_ordering():
 
 
 def test_date_parse_rejects_garbage():
-    for bad in ["2016", "2016-00", "2016-13", "16-06", "2016/06"]:
+    # A final newline, a trailing space, and Arabic-Indic or fullwidth digits.
+    for bad in ["2016", "2016-00", "2016-13", "16-06", "2016/06",
+                "2010-01\n", "2010-01 ", "\u0662\u0660\u0661\u0660-\u0660\u0661",
+                "\uff12\uff10\uff11\uff10-\uff10\uff11"]:
         with pytest.raises(ValueError):
             dm(bad)
 
@@ -67,6 +70,12 @@ def test_normalize_label_examples():
     assert normalize_label("CEO") == "ceo"
     with pytest.raises(InvalidLabelError):
         normalize_label("   ")
+
+
+@pytest.mark.parametrize("raw", ["lead \ud800", "\udfff", "Señor \udc80 lead"])
+def test_normalize_label_rejects_lone_surrogates(raw):
+    with pytest.raises(InvalidLabelError, match="UTF-8"):
+        normalize_label(raw)
 
 
 @given(st.text(max_size=40))
@@ -83,6 +92,8 @@ def ref_normalize_label(raw):
     label = re.sub(r"\s+", " ", raw.strip()).translate(
         str.maketrans(string.ascii_uppercase, string.ascii_lowercase)
     )
+    if re.search("[\ud800-\udfff]", label):
+        raise InvalidLabelError(f"label not encodable as UTF-8: {raw!r}")
     if not label:
         raise InvalidLabelError(f"label empty after normalization: {raw!r}")
     return label
@@ -93,7 +104,11 @@ def ref_normalize_label(raw):
 LABEL_CHARS = st.sampled_from(" \t\n\x0b\x0c\r\x1c\x1f\x85\xa0\u2000\u2028\u3000aZÑñİKǅé-")
 
 
-@given(st.one_of(st.text(LABEL_CHARS, max_size=20), st.text(max_size=30)))
+@given(st.one_of(
+    st.text(LABEL_CHARS, max_size=20),
+    st.text(max_size=30),
+    st.text(st.characters(categories=["Cs", "Zs", "Ll"]), max_size=10),
+))
 def test_normalize_label_equals_the_regex_definition(raw):
     try:
         want = ref_normalize_label(raw)
