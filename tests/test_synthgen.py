@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -123,3 +124,75 @@ def test_truth_matches_pipeline_measurement(tmp_path):
         cell = cells[float(row["lower_years"])]
         assert cell.external_hops == row["external_hops"]
         assert cell.internal_hops == row["internal_hops"]
+
+
+# Golden digests of the generator's output. A change to synthgen that means to
+# alter corpus or sidecar bytes updates these and says why in CHANGES.md; any
+# other change must leave them as they are.
+WIDE_LADDERS = {
+    f"sector {i:02d}": tuple(f"grade {r:02d}" for r in range(10)) for i in range(40)
+}
+ODD_LADDERS = {
+    "café & \"quotes\"": ("stagiaire été", "chef \\ boss", "président"),
+    "back\\slash\tindustry": ("a\"b", "機械 \U0001f600", "c\\\\d"),
+}
+GOLDEN_SPECS = {
+    "default": dict(seed=7, n_users=2000),
+    "wide": dict(seed=11, n_users=2000, titles_per_industry=WIDE_LADDERS,
+                 orgs_per_industry=25),
+    "active_rate": dict(seed=5, n_users=1000, active_rate=0.6),
+    "max_jobs_1": dict(seed=3, n_users=500, max_jobs=1),
+    "one_industry": dict(seed=9, n_users=500, orgs_per_industry=2,
+                         titles_per_industry={"solo": ("low", "mid", "high")}),
+    "odd_labels": dict(seed=13, n_users=500, titles_per_industry=ODD_LADDERS,
+                       skill_pool_size=3, max_skills=3, stay_log_sigma=0.0),
+    "always_hop": dict(seed=17, n_users=500, hop_propensity=(1.0,), promotion_bias=1.0,
+                       industry_switch_prob=1.0, max_career_years=1),
+    "never_hop": dict(seed=0, n_users=500, hop_propensity=(0.0, 1.0, 0.5),
+                      promotion_bias=0.0, industry_switch_prob=0.0, bin_width_years=1,
+                      stay_median_months=3.0, curr_date=DateMonth(2001, 1)),
+}
+GOLDEN_DIGESTS = {
+    "active_rate": (
+        "7ab187ddb160e583dd806a44a2c79a3bd203dac96604c60b2088e8ffc16b5177",
+        "5a89a70a7f01c4bccf217aec9438d312071900c30143ddda57e7ea822ae5a840",
+    ),
+    "always_hop": (
+        "7b9fdcfb639a6c4519e1ee4a37ce9e583203cf4a6cd7d4aa7333d118cd9e1c1b",
+        "04ab274539ff888abb16cd3eac26204d24ff18df4fe54364e456eff85fbc0adf",
+    ),
+    "default": (
+        "12105452417bf6e07bc11eaa9dde92fa6faae0441a041c6fcc6050ce21b4d3f3",
+        "ac7d3b7a182ecfe0c5438542e4a302c95bb2e2179233b23bd0db6ce6de7a617c",
+    ),
+    "max_jobs_1": (
+        "a507ec3e606f6a3446aac22572c984b57806d1d1eea17e9210e09b74f1bc52f3",
+        "08fbfd7a994c3e5367f748c24acfa216b79c8e755cda2f4c5a0ec0a010046389",
+    ),
+    "never_hop": (
+        "a773a51608d94707e1311f2c68680c99ec7850c71d31a2f8409bb560d181d24c",
+        "b92285b975418cca3aef8aad6c17d059a047c5ac30b4e1ee759f612790594bfb",
+    ),
+    "odd_labels": (
+        "9a20c61a2fbdd3e5489894ce97f7e4b81cd1fd8f1697aacdd64b6b55fd55959d",
+        "1ab7f5c6a33ebac5b3d8c78172673d05991b3dc377bc3ae4e0ebf76f35cccac3",
+    ),
+    "one_industry": (
+        "80c0d4886100c869ca39f8b1389d1e315cd4b0442441cc2b2ed86ec507e3c218",
+        "77e0ca2c891b2ecb5a9d4a51512429fe926f4f9076f76597eae8b289c141b2fa",
+    ),
+    "wide": (
+        "fa68cfe372f3d85d85f6bb3dadde3ff4b9672f8d85aa568bc9651229ba4af717",
+        "1557216cf7b574180d508d215b2248e69448ebd2cc47d058a08ac86aa0dd961b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_generator_golden_digests(tmp_path, name):
+    _, result = gen(tmp_path, **GOLDEN_SPECS[name])
+    got = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (result.corpus_path, result.truth_path)
+    )
+    assert got == GOLDEN_DIGESTS[name]
