@@ -13,16 +13,25 @@ ladder. The sidecar records, per work-experience bin, the external/internal
 hop counts as drawn (only for active users, which is what the pipeline
 analyzes), the realized promotion/demotion counts per hop kind, and the
 title ladders that define true seniority.
+
+Every draw comes from one random.Random(seed). Uniform integers and normal
+deviates go through the module's own helpers over that generator's
+getrandbits and random (`_draws`), which repeat Random._randbelow and
+Random.normalvariate draw for draw: on this Python they agree with the
+stdlib's randint, choice and lognormvariate, as tests/test_synthgen.py
+checks, and its golden digests pin the bytes of the corpus and sidecar.
+Skill lists come from Random.sample.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from math import log
+from dataclasses import dataclass, field, fields
+from math import exp, isfinite, log
 from pathlib import Path
-from typing import Mapping
+from random import NV_MAGICCONST
+from typing import Callable, Mapping
 
 from .model import DateMonth
 
@@ -102,17 +111,27 @@ class GeneratorSpec:
     )
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(name, f"must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not _is_number(value):
+                raise ValidationError(name, f"must be a finite number, got {value!r}")
+        if not isinstance(self.curr_date, DateMonth):
+            raise ValidationError("curr_date", f"must be a DateMonth, got {self.curr_date!r}")
         if self.n_users < 0:
             raise ValidationError("n_users", "must be >= 0")
         for name in ("active_rate", "promotion_bias", "industry_switch_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(name, f"must lie in [0, 1], got {value}")
-        if not self.hop_propensity:
-            raise ValidationError("hop_propensity", "must have at least one bin")
+        if not isinstance(self.hop_propensity, (tuple, list)) or not self.hop_propensity:
+            raise ValidationError("hop_propensity", "must be a list of at least one probability")
         for p in self.hop_propensity:
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError("hop_propensity", f"probabilities must lie in [0, 1], got {p}")
+            if not (_is_number(p) and 0.0 <= p <= 1.0):
+                raise ValidationError("hop_propensity", f"probabilities must lie in [0, 1], got {p!r}")
         if self.bin_width_years < 1:
             raise ValidationError("bin_width_years", "must be >= 1")
         if self.stay_median_months <= 0:
@@ -127,11 +146,18 @@ class GeneratorSpec:
             raise ValidationError("max_career_years", "must be >= 1")
         if self.skill_pool_size < self.max_skills:
             raise ValidationError("skill_pool_size", "must be >= max_skills")
-        if self.max_skills < 1:
-            raise ValidationError("max_skills", "must be >= 1")
-        if not self.titles_per_industry:
-            raise ValidationError("titles_per_industry", "need at least one industry")
-        lengths = {len(ladder) for ladder in self.titles_per_industry.values()}
+        if self.max_skills < 3:
+            raise ValidationError("max_skills", "must be >= 3, the fewest skills a profile lists")
+        ladders = self.titles_per_industry
+        if not isinstance(ladders, Mapping) or not ladders:
+            raise ValidationError("titles_per_industry", "need a mapping of at least one industry")
+        for ind, ladder in ladders.items():
+            if not (isinstance(ind, str) and isinstance(ladder, (tuple, list))
+                    and all(isinstance(title, str) for title in ladder)):
+                raise ValidationError(
+                    "titles_per_industry", "each industry name maps to a list of title strings"
+                )
+        lengths = {len(ladder) for ladder in ladders.values()}
         if len(lengths) != 1 or min(lengths) < 2:
             raise ValidationError(
                 "titles_per_industry",
@@ -144,15 +170,8 @@ class GeneratorSpec:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValidationError("spec", "expected a JSON object")
-        known = {
-            "seed", "n_users", "active_rate", "curr_date", "bin_width_years",
-            "hop_propensity", "promotion_bias", "industry_switch_prob",
-            "stay_median_months", "stay_log_sigma", "max_jobs",
-            "orgs_per_industry", "max_career_years", "skill_pool_size",
-            "max_skills", "titles_per_industry",
-        }
         for key in raw:
-            if key not in known:
+            if key not in _FIELDS:
                 raise ValidationError(key, "unknown field")
         kwargs = dict(raw)
         if "curr_date" in kwargs:
@@ -160,16 +179,37 @@ class GeneratorSpec:
                 kwargs["curr_date"] = DateMonth.parse(kwargs["curr_date"])
             except (TypeError, ValueError) as exc:
                 raise ValidationError("curr_date", str(exc)) from exc
-        if "hop_propensity" in kwargs:
+        # JSON lists become tuples; any other value is left for __post_init__
+        # to refuse by name.
+        if isinstance(kwargs.get("hop_propensity"), list):
             kwargs["hop_propensity"] = tuple(kwargs["hop_propensity"])
-        if "titles_per_industry" in kwargs:
+        ladders = kwargs.get("titles_per_industry")
+        if isinstance(ladders, dict):
             kwargs["titles_per_industry"] = {
-                ind: tuple(titles) for ind, titles in kwargs["titles_per_industry"].items()
+                ind: tuple(titles) if isinstance(titles, list) else titles
+                for ind, titles in ladders.items()
             }
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValidationError("spec", str(exc)) from exc
+        return cls(**kwargs)
+
+
+_INT_FIELDS = (
+    "seed", "n_users", "bin_width_years", "max_jobs", "orgs_per_industry",
+    "max_career_years", "skill_pool_size", "max_skills",
+)
+_REAL_FIELDS = (
+    "active_rate", "promotion_bias", "industry_switch_prob", "stay_median_months",
+    "stay_log_sigma",
+)
+_FIELDS = frozenset(f.name for f in fields(GeneratorSpec))
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    """A finite float or an int; not a bool."""
+    return _is_int(value) or isinstance(value, float) and isfinite(value)
 
 
 @dataclass
@@ -181,36 +221,48 @@ class GenerationResult:
     truth_path: Path
 
 
-def _to_months(d: DateMonth) -> int:
-    return d.year * 12 + (d.month - 1)
-
-
 def _month_str(total: int) -> str:
     return f"{total // 12:04d}-{total % 12 + 1:02d}"
 
 
-class _TruthAccumulator:
-    def __init__(self, spec: GeneratorSpec):
-        self.spec = spec
-        self.bin_counts: dict[int, list[int]] = {}  # bin -> [external, internal]
-        self.promotions = {
-            "external": {"promotions": 0, "demotions": 0},
-            "internal": {"promotions": 0, "demotions": 0},
-        }
+def _draws(rng: random.Random) -> tuple[Callable[[int], int], Callable[[], float]]:
+    """(below, normal): rng's uniform-int and standard-normal draws as closures.
 
-    def record(self, wk_exp_bin: int, external: bool, promoted: bool) -> None:
-        cell = self.bin_counts.setdefault(wk_exp_bin, [0, 0])
-        cell[0 if external else 1] += 1
-        kind = "external" if external else "internal"
-        self.promotions[kind]["promotions" if promoted else "demotions"] += 1
+    below(n) repeats Random._randbelow_with_getrandbits, so randint(a, b) is
+    a + below(b - a + 1) and choice(seq) is seq[below(len(seq))]. normal()
+    is the Kinderman-Monahan loop of Random.normalvariate, and
+    lognormvariate(mu, sigma) is exp(mu + normal() * sigma). Both consume
+    rng's stream exactly as those methods do.
+    """
+    getrandbits = rng.getrandbits
+    uniform = rng.random
 
-    def to_dict(self) -> dict:
-        spec = self.spec
-        last = len(spec.hop_propensity) - 1
-        bins = []
-        for k in sorted(self.bin_counts):
-            ext, internal = self.bin_counts[k]
-            total = ext + internal
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    def normal() -> float:
+        while True:
+            u1 = uniform()
+            u2 = 1.0 - uniform()
+            z = NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -log(u2):
+                return z
+
+    return below, normal
+
+
+def _truth(spec: GeneratorSpec, hop_counts: list[list[int]], kind_counts: list[list[int]]) -> dict:
+    """The sidecar: hop_counts[bin] is [external, internal] for active users,
+    kind_counts[internal][demoted] the realized promotions and demotions."""
+    last = len(spec.hop_propensity) - 1
+    bins = []
+    for k, (ext, internal) in enumerate(hop_counts):
+        total = ext + internal
+        if total:
             bins.append(
                 {
                     "lower_years": k * spec.bin_width_years,
@@ -218,157 +270,149 @@ class _TruthAccumulator:
                     "expected_external_fraction": spec.hop_propensity[min(k, last)],
                     "external_hops": ext,
                     "internal_hops": internal,
-                    "realized_external_fraction": ext / total if total else None,
+                    "realized_external_fraction": ext / total,
                 }
             )
-        return {
-            "seed": spec.seed,
-            "n_users": spec.n_users,
-            "curr_date": str(spec.curr_date),
-            "bin_width_years": spec.bin_width_years,
-            "hop_propensity": list(spec.hop_propensity),
-            "promotion_bias": spec.promotion_bias,
-            "work_exp_bins": bins,
-            "promotions": self.promotions,
-            "job_ladders": {
-                ind: list(titles) for ind, titles in spec.titles_per_industry.items()
-            },
-        }
-
-
-@dataclass(frozen=True)
-class _World:
-    """Catalog structures shared by every simulated user."""
-
-    industries: tuple[str, ...]
-    orgs: dict[str, list[str]]
-    skill_pool: tuple[str, ...]
-    curr_m: int
-
-    @classmethod
-    def build(cls, spec: GeneratorSpec) -> "_World":
-        industries = tuple(spec.titles_per_industry)
-        return cls(
-            industries=industries,
-            orgs={
-                ind: [f"{ind} org {k}" for k in range(1, spec.orgs_per_industry + 1)]
-                for ind in industries
-            },
-            skill_pool=tuple(f"skill {i:02d}" for i in range(spec.skill_pool_size)),
-            curr_m=_to_months(spec.curr_date),
-        )
-
-
-def _simulate_user(
-    rng: random.Random,
-    spec: GeneratorSpec,
-    world: _World,
-    user_id: str,
-    truth: _TruthAccumulator,
-) -> tuple[dict, int]:
-    """One user's profile record; returns (record, hop count)."""
-    industries = world.industries
-    orgs = world.orgs
-    curr_m = world.curr_m
-
-    active = rng.random() < spec.active_rate
-    if active:
-        education = rng.randint(1, 3)
-        n_skills = rng.randint(3, spec.max_skills)
-    elif rng.random() < 0.5:
-        education = 0
-        n_skills = rng.randint(3, spec.max_skills)
-    else:
-        education = rng.randint(1, 3)
-        n_skills = 0
-    skills = rng.sample(world.skill_pool, n_skills)
-
-    # Young-skewed graduation offset, 1..max_career_years years back.
-    span = spec.max_career_years * 12 - 12
-    grad_m = curr_m - (12 + int(span * rng.random() ** 1.5))
-
-    industry = rng.choice(industries)
-    ladder = spec.titles_per_industry[industry]
-    stratum = rng.choice((0, 0, 1))
-    org = rng.choice(orgs[industry])
-    start_m = grad_m + rng.randint(0, 6)
-
-    mu = log(spec.stay_median_months)
-    jobs: list[dict] = []
-    n_hops = 0
-    while True:
-        stay = max(1, round(rng.lognormvariate(mu, spec.stay_log_sigma)))
-        end_m = start_m + stay
-        job = {
-            "title": ladder[stratum],
-            "organization": org,
-            "industry": industry,
-            "start": _month_str(start_m),
-            "end": None if end_m >= curr_m else _month_str(end_m),
-        }
-        jobs.append(job)
-        if job["end"] is None or len(jobs) == spec.max_jobs:
-            break
-        next_start = end_m + rng.choice((0, 0, 1, 2))
-        if next_start > curr_m:
-            break
-
-        wk_exp_bin = (end_m - grad_m) // (12 * spec.bin_width_years)
-        last = len(spec.hop_propensity) - 1
-        external = rng.random() < spec.hop_propensity[min(wk_exp_bin, last)]
-        promoted = rng.random() < spec.promotion_bias
-        delta = 1 if promoted else -1
-        if not 0 <= stratum + delta < len(ladder):
-            delta = -delta
-        new_stratum = stratum + delta
-
-        if external:
-            if len(industries) > 1 and rng.random() < spec.industry_switch_prob:
-                industry = rng.choice([i for i in industries if i != industry])
-                ladder = spec.titles_per_industry[industry]
-                org = rng.choice(orgs[industry])
-            else:
-                org = rng.choice([o for o in orgs[industry] if o != org])
-
-        if active:
-            truth.record(wk_exp_bin, external, new_stratum > stratum)
-        stratum = new_stratum
-        start_m = next_start
-        n_hops += 1
-
-    record = {
-        "user_id": user_id,
-        "grad_date": _month_str(grad_m),
-        "education_count": education,
-        "skills": skills,
-        "jobs": jobs,
+    return {
+        "seed": spec.seed,
+        "n_users": spec.n_users,
+        "curr_date": str(spec.curr_date),
+        "bin_width_years": spec.bin_width_years,
+        "hop_propensity": list(spec.hop_propensity),
+        "promotion_bias": spec.promotion_bias,
+        "work_exp_bins": bins,
+        "promotions": {
+            kind: {"promotions": up, "demotions": down}
+            for kind, (up, down) in zip(("external", "internal"), kind_counts)
+        },
+        "job_ladders": {
+            ind: list(titles) for ind, titles in spec.titles_per_industry.items()
+        },
     }
-    return record, (n_hops if active else 0)
 
 
 def generate(
     spec: GeneratorSpec, corpus_path: str | Path, truth_path: str | Path
 ) -> GenerationResult:
-    """Write the corpus JSONL and truth sidecar; byte-identical per seed."""
+    """Write the corpus JSONL and truth sidecar; byte-identical per seed.
+
+    Each user graduates 1..max_career_years years before curr_date, takes a
+    junior job in a random industry and org, and then hops at the end of
+    every closed stint until a stint runs to curr_date or max_jobs is
+    reached. Records are written as json.dumps(record, sort_keys=True,
+    separators=(",", ":")) would write them, from labels encoded once.
+    """
     rng = random.Random(spec.seed)
-    truth = _TruthAccumulator(spec)
-    world = _World.build(spec)
+    below, normal = _draws(rng)
+    uniform = rng.random
+    sample = rng.sample
     corpus_path = Path(corpus_path)
     truth_path = Path(truth_path)
+
+    industries = tuple(spec.titles_per_industry)
+    n_industries = len(industries)
+    n_orgs = spec.orgs_per_industry
+    titles = [tuple(map(json.dumps, spec.titles_per_industry[ind])) for ind in industries]
+    # '"industry":...,"organization":...' for each (industry, org).
+    places = [
+        tuple(
+            f'"industry":{json.dumps(ind)},"organization":{json.dumps(f"{ind} org {k}")}'
+            for k in range(1, n_orgs + 1)
+        )
+        for ind in industries
+    ]
+    skill_pool = tuple(json.dumps(f"skill {i:02d}") for i in range(spec.skill_pool_size))
+    ladder_len = len(titles[0])  # the same for every industry
+
+    # Months count from the earliest possible graduation: months[m] is the
+    # encoded text of month m, and curr_m is the analysis date.
+    curr_m = 12 * spec.max_career_years
+    first = spec.curr_date.ordinal - curr_m
+    months = [json.dumps(_month_str(first + m)) for m in range(curr_m + 1)]
+    span = curr_m - 12  # young-skewed graduation offset, 1..max_career_years years back
+
+    bin_months = 12 * spec.bin_width_years
+    n_bins = curr_m // bin_months + 1
+    last = len(spec.hop_propensity) - 1
+    p_external = [spec.hop_propensity[min(k, last)] for k in range(n_bins)]
+    hop_counts = [[0, 0] for _ in range(n_bins)]
+    kind_counts = [[0, 0], [0, 0]]
+
+    active_rate = spec.active_rate
+    promotion_bias = spec.promotion_bias
+    switch_prob = spec.industry_switch_prob
+    can_switch = n_industries > 1
+    mu = log(spec.stay_median_months)
+    sigma = spec.stay_log_sigma
+    max_jobs = spec.max_jobs
+    skill_draws = spec.max_skills - 2  # 3..max_skills skills
 
     n_active = 0
     n_hops = 0
     with open(corpus_path, "w", encoding="utf-8", newline="") as fh:
+        write = fh.write
         for i in range(spec.n_users):
-            record, hops = _simulate_user(rng, spec, world, f"u{i:06d}", truth)
-            if record["education_count"] >= 1 and record["skills"]:
-                n_active += 1
-            n_hops += hops
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+            active = uniform() < active_rate
+            if active:
+                education = 1 + below(3)
+                n_skills = 3 + below(skill_draws)
+            elif uniform() < 0.5:
+                education = 0
+                n_skills = 3 + below(skill_draws)
+            else:
+                education = 1 + below(3)
+                n_skills = 0
+            skills = sample(skill_pool, n_skills)
+
+            grad_m = curr_m - (12 + int(span * uniform() ** 1.5))
+            ind = below(n_industries)
+            stratum = (0, 0, 1)[below(3)]
+            org = below(n_orgs)
+            start_m = grad_m + below(7)
+
+            ladder = titles[ind]
+            jobs = []
+            while True:
+                end_m = start_m + max(1, round(exp(mu + normal() * sigma)))
+                closed = end_m < curr_m
+                jobs.append('{"end":%s,%s,"start":%s,"title":%s}' % (
+                    months[end_m] if closed else "null", places[ind][org], months[start_m],
+                    ladder[stratum]))
+                if not closed or len(jobs) == max_jobs:
+                    break
+                next_start = end_m + (0, 0, 1, 2)[below(4)]
+                if next_start > curr_m:
+                    break
+
+                wk_exp_bin = (end_m - grad_m) // bin_months
+                external = uniform() < p_external[wk_exp_bin]
+                delta = 1 if uniform() < promotion_bias else -1
+                if not 0 <= stratum + delta < ladder_len:
+                    delta = -delta
+                if external:
+                    if can_switch and uniform() < switch_prob:
+                        other = below(n_industries - 1)
+                        ind = other + (other >= ind)
+                        ladder = titles[ind]
+                        org = below(n_orgs)
+                    else:
+                        other = below(n_orgs - 1)
+                        org = other + (other >= org)
+                if active:
+                    hop_counts[wk_exp_bin][not external] += 1
+                    kind_counts[not external][delta < 0] += 1
+                    n_hops += 1
+                stratum += delta
+                start_m = next_start
+
+            n_active += active
+            write('{"education_count":%d,"grad_date":%s,"jobs":[%s],"skills":[%s],'
+                  '"user_id":"u%06d"}\n' % (
+                      education, months[grad_m], ",".join(jobs),
+                      ",".join(skills), i))
 
     with open(truth_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(truth.to_dict(), sort_keys=True, indent=2))
+        fh.write(json.dumps(_truth(spec, hop_counts, kind_counts), sort_keys=True, indent=2))
         fh.write("\n")
 
     return GenerationResult(

@@ -317,6 +317,16 @@ def test_synth_cli_spec_file(tmp_path):
     assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 5
 
 
+def test_synth_cli_names_a_mistyped_spec_field(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n_users": 300, "seed": 3, "max_jobs": 2.5}))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "c.jsonl"),
+                 "--truth", str(tmp_path / "t.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ValidationError: max_jobs: must be an integer, got 2.5\n"
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_report_all_writes_nine_files(corpus, tmp_path):
     out_dir = tmp_path / "reports"
     assert main(["report-all", "--input", str(corpus), "--out-dir", str(out_dir),

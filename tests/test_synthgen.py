@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from math import exp, log
 
 import pytest
 
@@ -7,7 +9,7 @@ from talentflow.hops import extract_all_hops
 from talentflow.ingest import filter_active, ingest_profiles
 from talentflow.metrics import CohortAxis, CorpusIndex, external_hop_fraction
 from talentflow.model import DateMonth
-from talentflow.synthgen import GeneratorSpec, ValidationError, generate
+from talentflow.synthgen import GeneratorSpec, ValidationError, _draws, generate
 from helpers import config
 
 
@@ -75,6 +77,82 @@ def test_validation_errors_carry_field_name():
         GeneratorSpec(orgs_per_industry=1)
     with pytest.raises(ValidationError):
         GeneratorSpec(titles_per_industry={"a": ("only",)})
+
+
+INT_FIELDS = (
+    "n_users", "seed", "max_jobs", "orgs_per_industry", "bin_width_years",
+    "max_career_years", "skill_pool_size", "max_skills",
+)
+
+
+@pytest.mark.parametrize("name", INT_FIELDS)
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "3"])
+def test_integer_fields_refuse_other_types(name, value):
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec(**{name: value})
+    assert err.value.field_name == name
+
+
+def test_fractional_max_jobs_is_refused_not_uncapped():
+    # len(jobs) == 2.5 is never true, so the cap used to vanish silently.
+    with pytest.raises(ValidationError, match="max_jobs"):
+        GeneratorSpec(seed=3, n_users=300, max_jobs=2.5)
+
+
+@pytest.mark.parametrize("name", ["active_rate", "stay_median_months", "stay_log_sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5", None, False])
+def test_real_fields_refuse_non_numbers(name, value):
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec(**{name: value})
+    assert err.value.field_name == name
+
+
+def test_fewer_than_three_skills_is_refused():
+    # Every profile with skills lists 3..max_skills of them.
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec(max_skills=2)
+    assert err.value.field_name == "max_skills"
+
+
+@pytest.mark.parametrize("raw", [
+    {"hop_propensity": 5},
+    {"hop_propensity": "0.5"},
+    {"hop_propensity": [0.5, "0.2"]},
+    {"titles_per_industry": ["a"]},
+    {"titles_per_industry": {"a": "xy", "b": "zw"}},
+    {"titles_per_industry": {"a": ["x", 1]}},
+    {"titles_per_industry": {"a": None}},
+    {"max_jobs": 2.5},
+    {"seed": 1.0},
+])
+def test_spec_from_json_names_the_mistyped_field(tmp_path, raw):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec.from_json(path)
+    assert err.value.field_name == next(iter(raw))
+
+
+def test_string_ladder_is_not_split_into_titles():
+    with pytest.raises(ValidationError) as err:
+        GeneratorSpec(titles_per_industry={"a": "xy"})
+    assert err.value.field_name == "titles_per_industry"
+
+
+def test_draw_helpers_match_the_stdlib():
+    # generate() draws through _draws; if Python's random changes how
+    # _randbelow or normalvariate consume the stream, this fails by name.
+    seq = tuple(range(100, 170))
+    for seed in range(50):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        below, normal = _draws(ours)
+        for n in range(1, 71):
+            assert below(n) == stdlib._randbelow(n)
+            assert 3 + below(n) == stdlib.randint(3, n + 2)
+            assert seq[below(n)] == stdlib.choice(seq[:n])
+            mu, sigma = log(n), (n % 7) / 5
+            assert exp(mu + normal() * sigma).hex() == stdlib.lognormvariate(mu, sigma).hex()
+        assert ours.getstate() == stdlib.getstate()
 
 
 def test_spec_from_json_round_trip(tmp_path):
