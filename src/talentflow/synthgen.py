@@ -192,15 +192,11 @@ class GeneratorSpec:
         return cls(**kwargs)
 
 
-_INT_FIELDS = (
-    "seed", "n_users", "bin_width_years", "max_jobs", "orgs_per_industry",
-    "max_career_years", "skill_pool_size", "max_skills",
-)
-_REAL_FIELDS = (
-    "active_rate", "promotion_bias", "industry_switch_prob", "stay_median_months",
-    "stay_log_sigma",
-)
+# Field names by declared type (annotations are strings under
+# `from __future__ import annotations`).
 _FIELDS = frozenset(f.name for f in fields(GeneratorSpec))
+_INT_FIELDS = tuple(f.name for f in fields(GeneratorSpec) if f.type == "int")
+_REAL_FIELDS = tuple(f.name for f in fields(GeneratorSpec) if f.type == "float")
 
 
 def _is_int(value: object) -> bool:
