@@ -294,8 +294,8 @@ def generate(
 
     Each user graduates 1..max_career_years years before curr_date, takes a
     junior job in a random industry and org, and then hops at the end of
-    every closed stint until a stint runs to curr_date or max_jobs is
-    reached. Records are written as json.dumps(record, sort_keys=True,
+    every closed stint, until a stint runs to curr_date, the next one would
+    start after it, or max_jobs is reached. Records are written as json.dumps(record, sort_keys=True,
     separators=(",", ":")) would write them, from labels encoded once.
     """
     rng = random.Random(spec.seed)
