@@ -88,15 +88,10 @@ INT_FIELDS = (
 @pytest.mark.parametrize("name", INT_FIELDS)
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "3"])
 def test_integer_fields_refuse_other_types(name, value):
+    # max_jobs=2.5 used to lift the job cap: len(jobs) == 2.5 is never true.
     with pytest.raises(ValidationError) as err:
         GeneratorSpec(**{name: value})
     assert err.value.field_name == name
-
-
-def test_fractional_max_jobs_is_refused_not_uncapped():
-    # len(jobs) == 2.5 is never true, so the cap used to vanish silently.
-    with pytest.raises(ValidationError, match="max_jobs"):
-        GeneratorSpec(seed=3, n_users=300, max_jobs=2.5)
 
 
 @pytest.mark.parametrize("name", ["active_rate", "stay_median_months", "stay_log_sigma"])
@@ -119,7 +114,7 @@ def test_fewer_than_three_skills_is_refused():
     {"hop_propensity": "0.5"},
     {"hop_propensity": [0.5, "0.2"]},
     {"titles_per_industry": ["a"]},
-    {"titles_per_industry": {"a": "xy", "b": "zw"}},
+    {"titles_per_industry": {"a": "xy"}},  # used to become the titles ("x", "y")
     {"titles_per_industry": {"a": ["x", 1]}},
     {"titles_per_industry": {"a": None}},
     {"max_jobs": 2.5},
@@ -131,12 +126,6 @@ def test_spec_from_json_names_the_mistyped_field(tmp_path, raw):
     with pytest.raises(ValidationError) as err:
         GeneratorSpec.from_json(path)
     assert err.value.field_name == next(iter(raw))
-
-
-def test_string_ladder_is_not_split_into_titles():
-    with pytest.raises(ValidationError) as err:
-        GeneratorSpec(titles_per_industry={"a": "xy"})
-    assert err.value.field_name == "titles_per_industry"
 
 
 def test_draw_helpers_match_the_stdlib():
