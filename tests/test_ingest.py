@@ -249,3 +249,52 @@ def test_filter_active_order_and_definition():
     a2 = profile("a2")
     assert filter_active([a1, inactive, a2]) == [a1, a2]
     assert filter_active([]) == []
+
+
+# Text-mode line splitting: at LF, CRLF and a lone CR, and at nothing else.
+LINES = [json.dumps(record(f"u{i}")) for i in range(4)]
+IDS = ["u0", "u1", "u2", "u3"]
+
+
+@pytest.mark.parametrize("text", [
+    "\n".join(LINES) + "\n",
+    "\r\n".join(LINES) + "\r\n",
+    "\r".join(LINES) + "\r",
+    LINES[0] + "\r\n" + LINES[1] + "\r" + LINES[2] + "\n" + LINES[3] + "\r\n",
+    "\n".join(LINES),  # no newline after the last line
+    "\r".join(LINES),
+    # Whitespace-only lines, also of whitespace that is not ASCII, are skipped.
+    "\n  \t\n".join(LINES) + "\n\r\r\n\x0b\x0c\n\x1c\x1f\n\x85\u2028\u3000\n",
+])
+def test_lines_split_at_lf_crlf_and_lone_cr(tmp_path, text):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    profiles, report = ingest_profiles(path)
+    assert profiles == [profile(uid, grad="2010-06", jobs=[
+        job("engineer", "acme", "tech", "2010-07", "2012-01")]) for uid in IDS]
+    assert report == IngestReport(total_records=4, active_records=4)
+
+
+def test_bom_and_other_line_breaks_do_not_split_lines(tmp_path):
+    # \x85 and \u2028 may stand raw in a JSON string; \x0b and \x0c may not,
+    # nor between tokens. Split there, each of these lines would read as two.
+    inner = record("u5", jobs=[{"title": "lead\x85dev\u2028ops", "organization": "Acme",
+                                "industry": "Tech", "start": "2010-07", "end": None}])
+    lines = [
+        "\ufeff" + LINES[0],  # a byte-order mark makes the first line malformed
+        LINES[1],
+        json.dumps(inner, ensure_ascii=False),
+        json.dumps(record("u6", skills=("sql~python",))).replace("~", "\x0b"),
+        json.dumps(record("u7")).replace(", ", ",\x0c", 1),
+        '{"user_id": "u8",\u2028"jobs": []}',
+    ]
+    for end in ("\n", "\r\n", "\r"):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes("".join(line + end for line in lines).encode("utf-8"))
+        profiles, report = ingest_profiles(path)
+        assert [p.user_id for p in profiles] == ["u1", "u5"]
+        assert profiles[1].jobs[0].title == "lead dev ops"
+        assert report == IngestReport(
+            total_records=6, active_records=2, rejected_records=4,
+            rejection_reasons={REASON_MALFORMED: 4},
+        )
