@@ -11,10 +11,12 @@ One JSON object per line, UTF-8:
               {"title": "Manager", "organization": "Acme",
                "industry": "Software", "start": "2012-01", "end": null}]}
 
-A null/missing job end means the job is still held. Malformed lines are
-rejected individually (reason MALFORMED) and processing continues; a repeated
-user_id keeps the first occurrence and rejects the rest (DUPLICATE_ID). A
-line that json cannot decode is malformed, also one nested too deep or with
+Lines end at LF, CRLF or a lone CR, as in text mode, and at nothing else;
+lines of whitespace only are skipped. A null/missing job end means the job
+is still held. Malformed lines are rejected individually (reason MALFORMED)
+and processing continues; a repeated user_id keeps the first occurrence and
+rejects the rest (DUPLICATE_ID). A line that is not valid UTF-8 is
+malformed, so is one json cannot decode, also one nested too deep or with
 an integer literal too long to convert, and so is a record whose user_id or
 job label cannot be encoded as UTF-8 (a lone surrogate escape such as
 "\\ud800"); such a skill is dropped, as a blank one is.
@@ -25,6 +27,22 @@ normalized once, and dates month ordinals, each distinct date text parsed
 once. No UserProfile or JobRecord is built; the table builds them as views
 when one is read.
 
+A file is read in parts, cut at line starts: one per usable CPU (those
+os.sched_getaffinity allows), but no more than one per MiB. The caller
+reads the first part; each other part is read in a child process forked
+for it, which sends back its columns as packed int64 arrays, with its
+labels, months and counts, through a pipe. The parts are merged in input
+order: a later part's labels are coded through the ids of the parts before
+it, which gives the ids one pass gives, and a user id that an earlier part
+holds is a DUPLICATE_ID. A child that fails, or sends a short result, has
+its part read again in the caller; every child is reaped before ingest
+returns or raises. Ingest reads one part, in the caller, when the file is
+smaller than 2 MiB, when it is not a regular file (a FIFO or /dev/stdin,
+read to its end), when another thread is live (a forked child would
+inherit locks that thread holds), or where the platform has no os.fork or
+os.sched_getaffinity. The caller's peak memory (RUSAGE_SELF) leaves out the
+children's, which RUSAGE_CHILDREN reports.
+
 Because industry is treated as a function of organization, conflicting
 industries for one organization are repaired to the majority industry
 (ties broken lexicographically); the number of rewritten job records is
@@ -34,9 +52,17 @@ reported in IngestReport.industry_repairs.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import re
+import signal
+import stat
+import threading
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Any, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -54,6 +80,11 @@ from .model import (
 REASON_MALFORMED = "MALFORMED"
 REASON_DUPLICATE_ID = "DUPLICATE_ID"
 
+_PART_BYTES = 1 << 20  # a file has at most one part per this many bytes
+_BLOCK_BYTES = 1 << 18  # how much a part reads at once
+_LINE_END = re.compile(rb"[\r\n]")
+_JOB_FIELDS = itemgetter("title", "organization", "industry", "start")
+
 
 class MalformedRecordError(ValueError):
     """A profile line that does not satisfy the input schema."""
@@ -70,104 +101,104 @@ class IngestReport:
     rejection_reasons: dict[str, int] = field(default_factory=dict)
     industry_repairs: int = 0
 
-    def _reject(self, reason: str) -> None:
-        self.rejected_records += 1
-        self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + 1
+    def _reject(self, reason: str, n: int = 1) -> None:
+        self.rejected_records += n
+        self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + n
 
 
-class _Interned(ProfileColumns):
-    """One ingest call's columns, which also code the raw input: each
-    distinct raw label is normalized once and each distinct date text
-    parsed once.
+class _Codes(dict):
+    """Raw text -> its code: code(parse(text)), computed once per text.
 
-    ids maps each raw label too, to the id of its normalized form, so equal
-    labels share one id and one string. ordinals maps date texts to month
-    ordinals.
+    Two code one part's input into its ProfileColumns: raw labels to label
+    ids (parse is normalize_label, so equal labels share one id and one
+    string) and date texts to month ordinals (parse is DateMonth.parse). A
+    key that is not a string raises KeyError, a text that parse refuses its
+    ValueError; neither is entered.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, parse: Callable[[str], Any], code: Callable[[Any], int]) -> None:
         super().__init__()
-        self.ordinals: dict[str, int] = {}
+        self.parse = parse
+        self.code = code
 
-    def raw_label(self, raw: str) -> int:
-        if (label_id := self.ids.get(raw)) is None:
-            label_id = self.ids[raw] = self.label(normalize_label(raw))
-        return label_id
+    def __missing__(self, text: object) -> int:
+        if type(text) is not str:
+            raise KeyError(text)
+        value = self[text] = self.code(self.parse(text))
+        return value
 
-    def date(self, text: str) -> int:
-        if (ordinal := self.ordinals.get(text)) is None:
-            ordinal = self.ordinals[text] = self.ordinal(DateMonth.parse(text))
-        return ordinal
+
+def _codes(columns: ProfileColumns) -> tuple[_Codes, _Codes]:
+    """The label and date codes of columns."""
+    return _Codes(normalize_label, columns.label), _Codes(DateMonth.parse, columns.ordinal)
 
 
 # The checked parsers name a bad field where + name, as in "jobs[2]" ".start".
 
 
-def _date(value: object, memo: _Interned, where: str, name: str = "") -> int:
+def _date(value: object, dates: _Codes, where: str, name: str = "") -> int:
     if not isinstance(value, str):
         raise MalformedRecordError(f"{where}{name}: expected YYYY-MM string, got {value!r}")
     try:
-        return memo.date(value)
+        return dates[value]
     except ValueError as exc:
         raise MalformedRecordError(f"{where}{name}: {exc}") from exc
 
 
-def _grad_date(value: object, memo: _Interned) -> int:
+def _grad_date(value: object, dates: _Codes) -> int:
     # A list of graduation dates is allowed; the latest one wins.
     if value is None:
         return NO_DATE
     if isinstance(value, list):
-        return max((_date(v, memo, "grad_date") for v in value), default=NO_DATE)
-    return _date(value, memo, "grad_date")
+        return max((_date(v, dates, "grad_date") for v in value), default=NO_DATE)
+    return _date(value, dates, "grad_date")
 
 
-def _label(value: object, memo: _Interned, where: str, name: str) -> int:
+def _label(value: object, labels: _Codes, where: str, name: str) -> int:
     if not isinstance(value, str):
         raise MalformedRecordError(f"{where}{name}: expected string, got {value!r}")
     try:
-        return memo.raw_label(value)
+        return labels[value]
     except InvalidLabelError as exc:
         raise MalformedRecordError(f"{where}{name}: {exc}") from exc
 
 
-def _skills(raw: list, memo: _Interned) -> set[int]:
-    skills = set()
+def _skills(raw: list, labels: _Codes) -> dict[int, None]:
+    skills = {}
     for s in raw:
         if not isinstance(s, str):
             raise MalformedRecordError(f"skills: expected string entries, got {s!r}")
         try:
-            skills.add(memo.raw_label(s))
+            skills[labels[s]] = None
         except InvalidLabelError:
             continue  # blank skill strings are noise, not a reason to reject
     return skills
 
 
-def _job(obj: object, where: str, memo: _Interned) -> tuple[int, int, int, int, int]:
+def _job(
+    obj: object, where: str, labels: _Codes, dates: _Codes
+) -> tuple[int, int, int, int, int]:
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"{where}: expected object, got {obj!r}")
     end = obj.get("end")
     return (
-        _label(obj.get("title"), memo, where, ".title"),
-        _label(obj.get("organization"), memo, where, ".organization"),
-        _label(obj.get("industry"), memo, where, ".industry"),
-        _date(obj.get("start"), memo, where, ".start"),
-        NO_DATE if end is None else _date(end, memo, where, ".end"),
+        _label(obj.get("title"), labels, where, ".title"),
+        _label(obj.get("organization"), labels, where, ".organization"),
+        _label(obj.get("industry"), labels, where, ".industry"),
+        _date(obj.get("start"), dates, where, ".start"),
+        NO_DATE if end is None else _date(end, dates, where, ".end"),
     )
 
 
-# One parsed record: user id, graduation ordinal, education count, skill ids,
-# and five ints per job (title, organization and industry ids, start, end).
-_Record = tuple[str, int, int, set, list]
+# One parsed record: user id, graduation ordinal, education count, skill ids
+# in order of first appearance, and five ints per job (title, organization
+# and industry ids, start, end).
+_Record = tuple[str, int, int, dict, list]
 
 
-def _parse_record(line: str, memo: _Interned) -> _Record:
-    """Validate one JSONL record; raises MalformedRecordError at the first fault."""
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        # ValueError: JSONDecodeError, or an integer literal past the
-        # int-to-str digit limit; RecursionError: nesting too deep to decode.
-        raise MalformedRecordError(f"invalid JSON: {exc}") from exc
+def _checked(obj: object, labels: _Codes, dates: _Codes) -> _Record:
+    """Validate one decoded record; raises MalformedRecordError at the first
+    fault, in the order user_id, education_count, skills, jobs, grad_date."""
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"expected JSON object, got {type(obj).__name__}")
 
@@ -184,38 +215,138 @@ def _parse_record(line: str, memo: _Interned) -> _Record:
     if not isinstance(education, int) or isinstance(education, bool) or education < 0:
         raise MalformedRecordError(f"education_count: expected count >= 0, got {education!r}")
 
-    # Labels and date texts seen before are a dict lookup each. Anything
-    # else -- a new or blank label, a new date, a wrong type -- misses the
-    # lookup and takes the checked path, which raises the diagnostic for
-    # the first bad field.
-    ids, ordinals = memo.ids, memo.ordinals
     raw_skills = obj.get("skills", [])
     if not isinstance(raw_skills, list):
         raise MalformedRecordError(f"skills: expected list, got {raw_skills!r}")
-    try:
-        skills = {ids[s] for s in raw_skills}
-    except (KeyError, TypeError):
-        skills = _skills(raw_skills, memo)
+    skills = _skills(raw_skills, labels)
 
     raw_jobs = obj.get("jobs", [])
     if not isinstance(raw_jobs, list):
         raise MalformedRecordError(f"jobs: expected list, got {raw_jobs!r}")
     jobs: list[int] = []
     for i, job in enumerate(raw_jobs):
-        if type(job) is dict:
-            get = job.get
-            end = get("end")
-            try:
-                jobs += (
-                    ids[get("title")], ids[get("organization")], ids[get("industry")],
-                    ordinals[get("start")], NO_DATE if end is None else ordinals[end],
-                )
-                continue
-            except (KeyError, TypeError):
-                pass
-        jobs += _job(job, f"jobs[{i}]", memo)
+        jobs += _job(job, f"jobs[{i}]", labels, dates)
 
-    return user_id.strip(), _grad_date(obj.get("grad_date"), memo), education, skills, jobs
+    return user_id.strip(), _grad_date(obj.get("grad_date"), dates), education, skills, jobs
+
+
+def _coded(obj: object, labels: _Codes, dates: _Codes) -> _Record:
+    """_checked's result for a record it takes without a fault.
+
+    Anything else raises KeyError, TypeError or ValueError, after coding
+    only labels and dates that _checked codes too before it raises: fields
+    are read in its order, and every type is checked before a lookup that
+    could code a label.
+    """
+    user_id = obj["user_id"]  # TypeError unless obj is a dict
+    education = obj.get("education_count", 0)
+    raw_skills = obj.get("skills", [])
+    raw_jobs = obj.get("jobs", [])
+    if (
+        type(user_id) is not str or not user_id.isascii() or not (user_id := user_id.strip())
+        or type(education) is not int or education < 0
+        or type(raw_skills) is not list or type(raw_jobs) is not list
+    ):
+        raise ValueError
+    skills = dict.fromkeys([labels[s] for s in raw_skills])
+    jobs: list[int] = []
+    for job in raw_jobs:
+        if type(job) is not dict:
+            raise TypeError
+        title, organization, industry, start = _JOB_FIELDS(job)
+        end = job.get("end")
+        jobs += (
+            labels[title], labels[organization], labels[industry],
+            dates[start], NO_DATE if end is None else dates[end],
+        )
+    grad = obj.get("grad_date")
+    if grad is None:
+        grad = NO_DATE
+    elif type(grad) is list:
+        grad = max([dates[g] for g in grad], default=NO_DATE)
+    else:
+        grad = dates[grad]
+    return user_id, grad, education, skills, jobs
+
+
+def _decode(line: str) -> object:
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, or an integer literal past the
+        # int-to-str digit limit; RecursionError: nesting too deep to decode.
+        raise MalformedRecordError(f"invalid JSON: {exc}") from exc
+
+
+def _lines(fh: BinaryIO, size: int | None) -> Iterator[bytes]:
+    """The lines of fh's next size bytes, or up to its end when size is None.
+
+    Lines end at LF, CRLF or a lone CR, as in text mode, and keep their end.
+    A CRLF that a block or part boundary cuts reads as a line and a blank
+    line, and blank lines count for nothing.
+    """
+    head: list[bytes] = []  # a line that began in an earlier block
+    while size is None or size > 0:
+        block = fh.read(_BLOCK_BYTES if size is None else min(size, _BLOCK_BYTES))
+        if not block:
+            break
+        if size is not None:
+            size -= len(block)
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        if not cut:
+            head.append(block)
+            continue
+        head.append(block[:cut])
+        yield from b"".join(head).splitlines(True)
+        head = [block[cut:]]
+    if tail := b"".join(head):
+        yield tail
+
+
+def _read_part(
+    path: str | Path, start: int, stop: int | None
+) -> tuple[ProfileColumns, IngestReport]:
+    """The profiles on the lines that start in bytes start:stop of the file,
+    or from start to its end when stop is None, with their counts.
+
+    Each line is decoded as UTF-8 and as JSON, and coded by _coded; a record
+    _coded cannot take goes through _checked, which accepts it or names its
+    fault. A repeated user id is rejected within the part only.
+    """
+    columns = ProfileColumns()
+    report = IngestReport()
+    labels, dates = _codes(columns)
+    seen, add = columns.seen_ids, columns.add
+    with open(path, "rb") as fh:
+        if start:
+            fh.seek(start)
+        for line in _lines(fh, None if stop is None else stop - start):
+            if line.isspace():
+                continue
+            try:
+                text = line.decode()
+                obj = json.loads(text)
+            except UnicodeDecodeError:
+                report._reject(REASON_MALFORMED)
+                continue
+            except (ValueError, RecursionError):
+                if not text.isspace():  # whitespace beyond ASCII is blank too
+                    report._reject(REASON_MALFORMED)
+                continue
+            try:
+                record = _coded(obj, labels, dates)
+            except (KeyError, TypeError, ValueError):
+                try:
+                    record = _checked(obj, labels, dates)
+                except MalformedRecordError:
+                    report._reject(REASON_MALFORMED)
+                    continue
+            if record[0] in seen:
+                report._reject(REASON_DUPLICATE_ID)
+                continue
+            add(*record)
+    report.total_records = len(columns.user_id) + report.rejected_records
+    return columns, report
 
 
 def _repair_industries(
@@ -243,9 +374,120 @@ def _repair_industries(
 
 def parse_profile_line(line: str) -> UserProfile:
     """Parse one JSONL record into a UserProfile; raises MalformedRecordError."""
-    columns = _Interned()
-    columns.add(*_parse_record(line, columns))
+    columns = ProfileColumns()
+    columns.add(*_checked(_decode(line), *_codes(columns)))
     return columns.table()[0]
+
+
+def _cpus() -> int:
+    """How many processes may read parts: the CPUs this process may run
+    on, or 1 where it cannot fork at all or safely (another thread is live)."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _part_starts(path: str | Path) -> list[int]:
+    """Where each part of the file starts: byte offsets of line starts, the
+    first 0. One part per _PART_BYTES, but no more than _cpus(), and one
+    unless path is a regular file."""
+    info = os.stat(path)
+    size = info.st_size
+    k = min(_cpus(), size // _PART_BYTES) if stat.S_ISREG(info.st_mode) else 1
+    starts = [0]
+    if k > 1:
+        with open(path, "rb") as fh:
+            for i in range(1, k):
+                at = max(size * i // k, starts[-1])
+                fh.seek(at)
+                while chunk := fh.read(_BLOCK_BYTES):
+                    if end := _LINE_END.search(chunk):
+                        at += end.end()
+                        break
+                    at += len(chunk)
+                if at >= size:
+                    break
+                starts.append(at)
+    return starts
+
+
+# A part as a child sends it: its user ids; its ProfileColumns.arrays() as
+# packed int64 bytes; its labels and month ordinals; and its record total and
+# rejection counts.
+_Packed = tuple[list, list, list, list, int, dict]
+
+
+def _packed(columns: ProfileColumns, report: IngestReport) -> _Packed:
+    return (columns.user_id, [a.tobytes() for a in columns.arrays()], columns.labels,
+            list(columns.months), report.total_records, report.rejection_reasons)
+
+
+def _fork(path: str | Path, start: int, stop: int | None) -> tuple[int, BinaryIO] | None:
+    """A child that reads part start:stop of the file and sends it packed:
+    (its pid, the pipe to read the part from), or None if none started."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(_packed(*_read_part(path, start, stop)), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)  # a child never returns into its parent's code
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _receive(pid: int, pipe: BinaryIO) -> _Packed | None:
+    """The part a child sent, or None if it failed or its result is short;
+    reaps the child."""
+    try:
+        with pipe:
+            part = pickle.load(pipe)
+        _user_id, ints, _labels, _months, _total, _reasons = part
+        if len(ints) != 10 or any(len(b) % 8 for b in ints):
+            part = None
+    except (pickle.UnpicklingError, EOFError, ValueError, TypeError):
+        part = None
+    _, status = os.waitpid(pid, 0)
+    return part if status == 0 else None
+
+
+def _append(columns: ProfileColumns, report: IngestReport, part: _Packed) -> None:
+    """Append a later part to the earlier parts' columns and report.
+
+    Its labels are coded through columns.label, in the order the part met
+    them, which gives the ids one pass over the whole file gives. A user id
+    an earlier part holds is a DUPLICATE_ID.
+    """
+    user_id, ints, labels, months, total, reasons = part
+    arrays = [np.frombuffer(b, np.int64) for b in ints]
+    ints.clear()  # the arrays hold the bytes they still need
+    code = np.array([columns.label(label) for label in labels], np.int64)
+    for ordinal in months:
+        columns.months.setdefault(ordinal, DateMonth(ordinal // 12, ordinal % 12 + 1))
+    report.total_records += total
+    for reason, n in reasons.items():
+        report._reject(reason, n)
+    seen = columns.seen_ids
+    keep = np.array([u not in seen for u in user_id], bool)
+    if dropped := len(keep) - int(np.count_nonzero(keep)):
+        report._reject(REASON_DUPLICATE_ID, dropped)
+        user_id = list(compress(user_id, keep.tolist()))
+        skill_count, job_count = arrays[2], arrays[4]
+        rows = (keep,) * 3 + (np.repeat(keep, skill_count), keep) + (np.repeat(keep, job_count),) * 5
+        arrays = [a[r] for a, r in zip(arrays, rows)]
+    for i in (3, 5, 6, 7):  # skill, title, organization and industry ids
+        arrays[i] = code[arrays[i]]
+    columns.extend(user_id, arrays)
 
 
 def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
@@ -254,23 +496,26 @@ def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
     The profiles are a ProfileTable, a read-only sequence of UserProfile
     views in input order. Blank lines are skipped without being counted.
     """
-    report = IngestReport()
-    columns = _Interned()
-
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            report.total_records += 1
-            try:
-                record = _parse_record(line, columns)
-            except MalformedRecordError:
-                report._reject(REASON_MALFORMED)
-                continue
-            if record[0] in columns.seen_ids:
-                report._reject(REASON_DUPLICATE_ID)
-                continue
-            columns.add(*record)
+    starts = _part_starts(path)
+    stops = [*starts[1:], None]
+    children: dict[int, tuple[int, BinaryIO]] = {}  # part -> child not yet reaped
+    try:
+        for i in range(1, len(starts)):
+            if (child := _fork(path, starts[i], stops[i])) is not None:
+                children[i] = child
+        columns, report = _read_part(path, starts[0], stops[0])
+        for i in range(1, len(starts)):
+            part = _receive(*children[i]) if i in children else None
+            children.pop(i, None)
+            if part is None:  # the child failed: read its part here
+                part = _packed(*_read_part(path, starts[i], stops[i]))
+            _append(columns, report, part)
+            del part  # its arrays are in columns now
+    finally:
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
     profiles = columns.table(
         lambda organization, industry: _repair_industries(

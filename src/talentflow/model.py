@@ -346,15 +346,15 @@ class ProfileTable(RowViews):
 
 
 class ProfileColumns:
-    """Profiles appended as flat int lists, until table() packs them.
+    """Profiles appended as flat int lists or as packed arrays, until table()
+    packs them.
 
     The one way a ProfileTable is built: ingest, ProfileTable.of and
     StintTable.of_endpoints all fill one. ids maps labels to their ids,
-    positions in labels (ingest also enters each raw label there, under the
-    id of its normalized form); months maps each month ordinal to one
-    DateMonth; seen_ids holds the user ids added. User codes number the ids
-    in order of first appearance, so equal ids get equal codes; while the
-    ids are distinct, as ingest keeps them, a code is the user's position.
+    positions in labels; months maps each month ordinal to one DateMonth;
+    seen_ids holds the user ids added. User codes number the ids in order of
+    first appearance, so equal ids get equal codes; while the ids are
+    distinct, as ingest keeps them, a code is the user's position.
     """
 
     def __init__(self) -> None:
@@ -369,6 +369,8 @@ class ProfileColumns:
         self.skill: list[int] = []
         self.job_count: list[int] = []
         self.jobs: list[int] = []  # five per job, as job() gives them
+        # The profiles before those in the lists, as arrays() packs them.
+        self.blocks: list[tuple[np.ndarray, ...]] = []
 
     def label(self, label: str) -> int:
         """The id of a label, coded as it is."""
@@ -409,26 +411,57 @@ class ProfileColumns:
         self.job_count.append(len(jobs) // 5)
         self.jobs += jobs
 
+    def extend(self, user_id: Sequence[str], arrays: Sequence[np.ndarray]) -> None:
+        """Append profiles packed as arrays() gives them, coded here."""
+        self._pack()
+        self.seen_ids.update(user_id)
+        self.user_id += user_id
+        self.blocks.append(tuple(arrays))
+
+    def _pack(self) -> None:
+        """Move the profiles in the lists into a block of arrays."""
+        if self.grad:
+            jobs = self.jobs
+            self.blocks.append((
+                *(np.array(c, np.int64)
+                  for c in (self.grad, self.education, self.skill_count, self.skill,
+                            self.job_count)),
+                *(np.array(jobs[i::5], np.int64) for i in range(5)),
+            ))
+            self.grad, self.education, self.skill_count = [], [], []
+            self.skill, self.job_count, self.jobs = [], [], []
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """The profiles as int64 arrays: per user the graduation ordinal,
+        education count and skill count; the skill ids; per user the job
+        count; and per job the title, organization and industry ids and the
+        start and end ordinals."""
+        self._pack()
+        if len(self.blocks) != 1:
+            self.blocks = [tuple(
+                np.concatenate(c) for c in zip(*self.blocks)
+            ) if self.blocks else (np.zeros(0, np.int64),) * 10]
+        return self.blocks[0]
+
     def table(
         self, repair: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     ) -> ProfileTable:
         """The profile table; repair, given, maps the organization and
         industry columns to the industry column the table keeps."""
         n = len(self.user_id)
-        title, organization, industry, start, end = (
-            np.array(self.jobs, np.int64).reshape(-1, 5).T.copy()
-        )
+        (grad, education, skill_count, skill, job_count,
+         title, organization, industry, start, end) = self.arrays()
         if repair is not None:
             industry = repair(organization, industry)
         return ProfileTable(
             tuple(self.labels),
             tuple(self.user_id),
             np.arange(n) if len(self.seen_ids) == n else _codes(self.user_id),
-            np.array(self.grad, np.int64),
-            np.array(self.education, np.int64),
-            _offsets(self.skill_count),
-            np.array(self.skill, np.intp),
-            np.repeat(np.arange(n), self.job_count),
+            grad,
+            education,
+            _offsets(skill_count),
+            skill,
+            np.repeat(np.arange(n), job_count),
             title,
             organization,
             industry,

@@ -1,3 +1,7 @@
+import os
+
+import pytest
+
 _acceptance_outcomes: dict[str, str] = {}
 
 
@@ -13,3 +17,13 @@ def pytest_terminal_summary(terminalreporter):
     for name, outcome in _acceptance_outcomes.items():
         status = "PASS" if outcome == "passed" else "FAIL"
         terminalreporter.write_line(f"{status}  {name}")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail(f"a child process outlived the test: {'still running' if pid == 0 else pid}")

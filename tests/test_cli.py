@@ -44,6 +44,20 @@ def test_ingest_prints_counts(corpus, capsys):
     assert "active_records:" in out
 
 
+def test_ingest_counts_a_line_not_utf8_as_malformed(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b'{"user_id":"a","jobs":[]}\n{"user_id":"b\xff","jobs":[]}\n')
+    assert main(["ingest", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "total_records: 2",
+        "active_records: 0",
+        "inactive_records: 1",
+        "rejected_records: 1",
+        "rejected[MALFORMED]: 1",
+        "industry_repairs: 0",
+    ]
+
+
 def test_hops_csv_schema(corpus, tmp_path):
     out = tmp_path / "hops.csv"
     assert main(["hops", "--input", str(corpus), "--out", str(out)]) == 0

@@ -298,3 +298,20 @@ def test_bom_and_other_line_breaks_do_not_split_lines(tmp_path):
             total_records=6, active_records=2, rejected_records=4,
             rejection_reasons={REASON_MALFORMED: 4},
         )
+
+
+def test_line_not_utf8_is_malformed(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(
+        b'{"user_id":"a","jobs":[]}\n{"user_id":"b\xff","jobs":[]}\n'
+        b'\xff\n'  # not even JSON
+        b'{"user_id":"c","skills":["sql \xed\xa0\x80"],"jobs":[]}\n'  # an encoded surrogate
+        b'{"user_id":"d","skills":["\xc0\xaf"],"jobs":[]}\n'  # an overlong encoding
+        + json.dumps(record("e")).encode()
+    )
+    profiles, report = ingest_profiles(path)
+    assert [p.user_id for p in profiles] == ["a", "e"]
+    assert report == IngestReport(
+        total_records=6, active_records=1, inactive_records=1, rejected_records=4,
+        rejection_reasons={REASON_MALFORMED: 4},
+    )

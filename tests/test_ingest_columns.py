@@ -12,15 +12,19 @@ with ties.
 """
 
 import json
+import os
 import random
+import threading
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from talentflow import ingest
 from talentflow.cli import infer_curr_date
 from talentflow.ingest import (
     REASON_DUPLICATE_ID,
@@ -314,6 +318,37 @@ def write_lines(tmp_path_factory, lines):
 def test_ingest_equals_the_object_reference(tmp_path_factory, lines, curr):
     path = write_lines(tmp_path_factory, lines)
     profiles, report = ingest_profiles(path)
+    assert_equals_the_reference(path, profiles, report, curr)
+    for line in lines:
+        if line.strip():
+            assert parse_line(line) == ref_parse_line(line)
+
+
+# Line ends, each of which a part or block cut may fall after or inside.
+ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@given(st.lists(st.tuples(LINE, ENDS), max_size=12), DATES, st.integers(2, 4),
+       st.sampled_from([3, 64, 1 << 18]))
+@settings(max_examples=200, deadline=None)
+def test_ingest_in_parts_equals_the_object_reference(
+    tmp_path_factory, lines, curr, parts, block
+):
+    # A part size of a few bytes cuts even these small corpora into up to
+    # four parts, so that duplicate ids, malformed lines and CRLF fall on
+    # part boundaries, and small blocks put line ends on block boundaries.
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    path.write_bytes("".join(line + end for line, end in lines).encode("utf-8"))
+    whole, whole_report = ingest_profiles(path)
+    with patch.object(ingest, "_PART_BYTES", 5), patch.object(ingest, "_cpus", lambda: parts), \
+            patch.object(ingest, "_BLOCK_BYTES", block):
+        profiles, report = ingest_profiles(path)
+    assert report == whole_report
+    assert_same_columns(profiles, whole)
+    assert_equals_the_reference(path, profiles, report, curr)
+
+
+def assert_equals_the_reference(path, profiles, report, curr):
     want, want_report = ref_ingest_profiles(path)
     assert isinstance(profiles, ProfileTable)
     assert profiles == want and list(profiles) == want
@@ -324,9 +359,6 @@ def test_ingest_equals_the_object_reference(tmp_path_factory, lines, curr):
             [p.grad_date for p in want if p.grad_date]
             + [d for p in want for j in p.jobs for d in (j.start, j.end) if d]
         )
-    for line in lines:
-        if line.strip():
-            assert parse_line(line) == ref_parse_line(line)
 
     # Accounting identities.
     assert report.total_records == (
@@ -337,6 +369,156 @@ def test_ingest_equals_the_object_reference(tmp_path_factory, lines, curr):
     assert len(profiles.user) == sum(len(p.jobs) for p in want) == (
         len(stints) + stints.drops.future_jobs + stints.drops.invalid_period_jobs
     )
+
+
+COLUMNS = ("user_code", "grad", "education", "skill_start", "skill", "user", "title",
+           "organization", "industry", "start", "end", "job_start")
+
+
+def assert_same_columns(table, other):
+    """The same labels, in the same id order, ids, months and columns."""
+    assert table.labels == other.labels
+    assert table.user_id == other.user_id
+    assert table.months == other.months
+    for name in COLUMNS:
+        assert np.array_equal(getattr(table, name), getattr(other, name)), name
+
+
+# --- reading in parts -----------------------------------------------------------
+
+def split_corpus(tmp_path):
+    """About 20 kB of lines with repeated ids, malformed lines and mixed ends."""
+    rng = random.Random(3)
+    lines = []
+    for k in range(150):
+        p = random_profile(rng, f"u{rng.randrange(120)}")
+        row = {"user_id": p.user_id, "grad_date": p.grad_date and str(p.grad_date),
+               "education_count": p.education_entries, "skills": sorted(p.skills),
+               "jobs": [{"title": j.title.title(), "organization": f" {j.organization}",
+                         "industry": j.industry, "start": str(j.start),
+                         "end": j.end and str(j.end)} for j in p.jobs]}
+        lines.append("{not json" if k % 37 == 5 else json.dumps(row))
+        lines.append(rng.choice(["\n", "\r\n", "\r"]))
+    path = tmp_path / "c.jsonl"
+    path.write_bytes("".join(lines).encode("utf-8"))
+    return path
+
+
+def in_parts(monkeypatch, parts):
+    monkeypatch.setattr(ingest, "_PART_BYTES", 64)
+    monkeypatch.setattr(ingest, "_cpus", lambda: parts)
+
+
+def counted(monkeypatch, name):
+    """Calls of ingest.name made in this process (not in a forked child)."""
+    calls = []
+    fn, caller = getattr(ingest, name), os.getpid()
+
+    def wrapper(*args):
+        if os.getpid() == caller:
+            calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(ingest, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4])
+def test_parts_read_as_one(tmp_path, monkeypatch, parts):
+    path = split_corpus(tmp_path)
+    whole, whole_report = ingest_profiles(path)
+    assert whole_report.rejection_reasons.keys() == {REASON_MALFORMED, REASON_DUPLICATE_ID}
+    in_parts(monkeypatch, parts)
+    forks, reads = counted(monkeypatch, "_fork"), counted(monkeypatch, "_read_part")
+    profiles, report = ingest_profiles(path)
+    assert len(forks) == parts - 1 and len(reads) == 1
+    assert report == whole_report
+    assert_same_columns(profiles, whole)
+    assert report.total_records == (
+        report.active_records + report.inactive_records + report.rejected_records
+    )
+
+
+@pytest.mark.parametrize("failure", ["exit", "short"])
+def test_a_failed_child_has_its_part_read_again(tmp_path, monkeypatch, failure):
+    path = split_corpus(tmp_path)
+    whole, whole_report = ingest_profiles(path)
+    in_parts(monkeypatch, 3)
+    caller = os.getpid()
+    read_part, packed = ingest._read_part, ingest._packed
+
+    def exits(*args):
+        if os.getpid() != caller:
+            os._exit(1)
+        return read_part(*args)
+
+    def short(*args):
+        return packed(*args) if os.getpid() == caller else packed(*args)[:4]
+
+    if failure == "exit":
+        monkeypatch.setattr(ingest, "_read_part", exits)
+    else:
+        monkeypatch.setattr(ingest, "_packed", short)
+    reads = counted(monkeypatch, "_read_part")
+    profiles, report = ingest_profiles(path)
+    assert len(reads) == 3  # the caller read every part
+    assert report == whole_report
+    assert_same_columns(profiles, whole)
+
+
+def test_every_child_is_reaped_when_ingest_raises(tmp_path, monkeypatch):
+    # The autouse check in conftest fails the test if a child outlives it.
+    path = split_corpus(tmp_path)
+    in_parts(monkeypatch, 4)
+
+    def fails(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(ingest, "_append", fails)
+    with pytest.raises(MemoryError):
+        ingest_profiles(path)
+
+
+def test_no_fork_while_another_thread_is_live(tmp_path, monkeypatch):
+    path = split_corpus(tmp_path)
+    whole, whole_report = ingest_profiles(path)
+    monkeypatch.setattr(ingest, "_PART_BYTES", 64)
+    forks = counted(monkeypatch, "_fork")
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        profiles, report = ingest_profiles(path)
+    finally:
+        done.set()
+        other.join()
+    assert forks == []
+    assert report == whole_report
+    assert_same_columns(profiles, whole)
+
+
+def test_a_fifo_is_read_to_its_end(tmp_path, monkeypatch):
+    path = split_corpus(tmp_path)
+    whole, whole_report = ingest_profiles(path)
+    in_parts(monkeypatch, 4)  # would split a regular file of this size
+    forks = counted(monkeypatch, "_fork")
+    fifo = tmp_path / "c.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        profiles, report = ingest_profiles(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert forks == []
+    assert report == whole_report
+    assert_same_columns(profiles, whole)
 
 
 def test_industry_ties_and_variants_repair_as_the_reference(tmp_path):
