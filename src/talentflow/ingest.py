@@ -423,9 +423,25 @@ def _packed(columns: ProfileColumns, report: IngestReport) -> _Packed:
             list(columns.months), report.total_records, report.rejection_reasons)
 
 
-def _fork(path: str | Path, start: int, stop: int | None) -> tuple[int, BinaryIO] | None:
-    """A child that reads part start:stop of the file and sends it packed:
-    (its pid, the pipe to read the part from), or None if none started."""
+def _pin(cpus: set[int]) -> None:
+    """Run this process on cpus only, where the system lets it.
+
+    Left to itself, the scheduler may keep a freshly forked child on its
+    parent's CPU for the whole of a read that lasts a fraction of a second,
+    and the two then take turns.
+    """
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _fork(
+    path: str | Path, start: int, stop: int | None, cpu: int
+) -> tuple[int, BinaryIO] | None:
+    """A child, on the given CPU, that reads part start:stop of the file and
+    sends it packed: (its pid, the pipe to read the part from), or None if
+    none started."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -437,6 +453,7 @@ def _fork(path: str | Path, start: int, stop: int | None) -> tuple[int, BinaryIO
         code = 1
         try:
             os.close(read_fd)
+            _pin({cpu})
             with open(write_fd, "wb") as pipe:
                 pickle.dump(_packed(*_read_part(path, start, stop)), pipe, pickle.HIGHEST_PROTOCOL)
             code = 0
@@ -498,12 +515,21 @@ def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
     """
     starts = _part_starts(path)
     stops = [*starts[1:], None]
+    # Part i is read on CPU i, while the caller reads part 0 (its own CPU
+    # mask is restored after).
+    cpus = sorted(os.sched_getaffinity(0)) if len(starts) > 1 else []
     children: dict[int, tuple[int, BinaryIO]] = {}  # part -> child not yet reaped
     try:
         for i in range(1, len(starts)):
-            if (child := _fork(path, starts[i], stops[i])) is not None:
+            if (child := _fork(path, starts[i], stops[i], cpus[i % len(cpus)])) is not None:
                 children[i] = child
-        columns, report = _read_part(path, starts[0], stops[0])
+        if cpus:
+            _pin({cpus[0]})
+        try:
+            columns, report = _read_part(path, starts[0], stops[0])
+        finally:
+            if cpus:
+                _pin(set(cpus))
         for i in range(1, len(starts)):
             part = _receive(*children[i]) if i in children else None
             children.pop(i, None)

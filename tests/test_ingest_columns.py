@@ -53,10 +53,13 @@ class RefInterned:
     def __init__(self):
         self.labels = {}
         self.dates = {}
+        self.order = []  # normalized labels in the order they were first met
 
     def label(self, raw):
         if (label := self.labels.get(raw)) is None:
             label = ref_normalize_label(raw)
+            if label not in self.labels:
+                self.order.append(label)
             label = self.labels[raw] = self.labels.setdefault(label, label)
         return label
 
@@ -168,10 +171,10 @@ def ref_repair_industries(profiles, report):
     return repaired
 
 
-def ref_ingest_profiles(path):
+def ref_ingest_profiles(path, memo=None):
     report = IngestReport()
     profiles, seen = [], set()
-    memo = RefInterned()
+    memo = RefInterned() if memo is None else memo
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             if not line.strip():
@@ -349,10 +352,14 @@ def test_ingest_in_parts_equals_the_object_reference(
 
 
 def assert_equals_the_reference(path, profiles, report, curr):
-    want, want_report = ref_ingest_profiles(path)
+    memo = RefInterned()
+    want, want_report = ref_ingest_profiles(path, memo)
     assert isinstance(profiles, ProfileTable)
     assert profiles == want and list(profiles) == want
     assert report == want_report
+    # Label ids number labels in the order parsing first met them, also
+    # those of records rejected later.
+    assert profiles.labels == tuple(memo.order)
     assert filter_active(profiles) == [p for p in want if p.is_active]
     if want and any(p.grad_date or p.jobs for p in want):
         assert infer_curr_date(profiles) == max(
