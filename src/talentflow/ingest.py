@@ -469,10 +469,7 @@ def _receive(pid: int, pipe: BinaryIO) -> _Packed | None:
     try:
         with pipe:
             part = pickle.load(pipe)
-        _user_id, ints, _labels, _months, _total, _reasons = part
-        if len(ints) != 10 or any(len(b) % 8 for b in ints):
-            part = None
-    except (pickle.UnpicklingError, EOFError, ValueError, TypeError):
+    except (pickle.UnpicklingError, EOFError):  # the pipe closed early
         part = None
     _, status = os.waitpid(pid, 0)
     return part if status == 0 else None
@@ -527,6 +524,7 @@ def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
             _pin({cpus[0]})
         try:
             columns, report = _read_part(path, starts[0], stops[0])
+            columns.arrays()  # packed while the children pack theirs
         finally:
             if cpus:
                 _pin(set(cpus))

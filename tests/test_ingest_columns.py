@@ -13,6 +13,7 @@ with ties.
 
 import json
 import os
+import pickle
 import random
 import threading
 import tracemalloc
@@ -452,20 +453,21 @@ def test_a_failed_child_has_its_part_read_again(tmp_path, monkeypatch, failure):
     whole, whole_report = ingest_profiles(path)
     in_parts(monkeypatch, 3)
     caller = os.getpid()
-    read_part, packed = ingest._read_part, ingest._packed
+    read_part = ingest._read_part
 
     def exits(*args):
         if os.getpid() != caller:
             os._exit(1)
         return read_part(*args)
 
-    def short(*args):
-        return packed(*args) if os.getpid() == caller else packed(*args)[:4]
+    def short(obj, pipe, protocol):
+        data = pickle.dumps(obj, protocol)
+        pipe.write(data[: len(data) // 2])
 
     if failure == "exit":
         monkeypatch.setattr(ingest, "_read_part", exits)
     else:
-        monkeypatch.setattr(ingest, "_packed", short)
+        monkeypatch.setattr(ingest.pickle, "dump", short)
     reads = counted(monkeypatch, "_read_part")
     profiles, report = ingest_profiles(path)
     assert len(reads) == 3  # the caller read every part
@@ -498,7 +500,8 @@ def test_no_fork_while_another_thread_is_live(tmp_path, monkeypatch):
         profiles, report = ingest_profiles(path)
     finally:
         done.set()
-        other.join()
+        other.join(timeout=10)
+    assert not other.is_alive()
     assert forks == []
     assert report == whole_report
     assert_same_columns(profiles, whole)
