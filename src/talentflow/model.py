@@ -421,12 +421,11 @@ class ProfileColumns:
     def _pack(self) -> None:
         """Move the profiles in the lists into a block of arrays."""
         if self.grad:
-            jobs = self.jobs
             self.blocks.append((
                 *(np.array(c, np.int64)
                   for c in (self.grad, self.education, self.skill_count, self.skill,
                             self.job_count)),
-                *(np.array(jobs[i::5], np.int64) for i in range(5)),
+                *(np.array(self.jobs[i::5], np.int64) for i in range(5)),
             ))
             self.grad, self.education, self.skill_count = [], [], []
             self.skill, self.job_count, self.jobs = [], [], []

@@ -8,7 +8,9 @@ MalformedRecordError text from parse_profile_line -- on JSONL corpora with
 invalid JSON (also nested too deep or with too long an integer), non-object
 lines, wrongly typed fields, bad dates, blank skills, text UTF-8 cannot
 encode, duplicate ids, blank lines, label variants and industry conflicts
-with ties.
+with ties -- and number labels in the order it first met them. A corpus cut
+into parts, each read by its own process, must give the table a single
+part gives, column by column.
 """
 
 import json
@@ -447,7 +449,7 @@ def test_parts_read_as_one(tmp_path, monkeypatch, parts):
     )
 
 
-@pytest.mark.parametrize("failure", ["exit", "short"])
+@pytest.mark.parametrize("failure", ["exit", "short", "no fork"])
 def test_a_failed_child_has_its_part_read_again(tmp_path, monkeypatch, failure):
     path = split_corpus(tmp_path)
     whole, whole_report = ingest_profiles(path)
@@ -464,10 +466,15 @@ def test_a_failed_child_has_its_part_read_again(tmp_path, monkeypatch, failure):
         data = pickle.dumps(obj, protocol)
         pipe.write(data[: len(data) // 2])
 
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
     if failure == "exit":
         monkeypatch.setattr(ingest, "_read_part", exits)
-    else:
+    elif failure == "short":
         monkeypatch.setattr(ingest.pickle, "dump", short)
+    else:
+        monkeypatch.setattr(ingest.os, "fork", no_fork)
     reads = counted(monkeypatch, "_read_part")
     profiles, report = ingest_profiles(path)
     assert len(reads) == 3  # the caller read every part
