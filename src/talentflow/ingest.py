@@ -109,11 +109,11 @@ class IngestReport:
 class _Codes(dict):
     """Raw text -> its code: code(parse(text)), computed once per text.
 
-    Two code one part's input into its ProfileColumns: raw labels to label
-    ids (parse is normalize_label, so equal labels share one id and one
-    string) and date texts to month ordinals (parse is DateMonth.parse). A
-    key that is not a string raises KeyError, a text that parse refuses its
-    ValueError; neither is entered.
+    _codes gives the two that code a part's input into its ProfileColumns:
+    raw labels to label ids (parse is normalize_label, so equal labels share
+    one id and one string) and date texts to month ordinals (parse is
+    DateMonth.parse). A key that is not a string raises KeyError, a text
+    that parse refuses its ValueError; neither is entered.
     """
 
     def __init__(self, parse: Callable[[str], Any], code: Callable[[Any], int]) -> None:
