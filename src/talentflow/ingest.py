@@ -248,7 +248,7 @@ def _coded(obj: object, labels: _Codes, dates: _Codes) -> _Record:
         or type(raw_skills) is not list or type(raw_jobs) is not list
     ):
         raise ValueError
-    skills = dict.fromkeys([labels[s] for s in raw_skills])
+    skills = dict.fromkeys(map(labels.__getitem__, raw_skills))
     jobs: list[int] = []
     for job in raw_jobs:
         if type(job) is not dict:
