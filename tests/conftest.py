@@ -21,6 +21,8 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_the_test():
+    """Ingest forks a child per extra part and must reap every one: fail a
+    test that leaves a child running or unreaped."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
