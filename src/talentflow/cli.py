@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import reports
+from . import model, reports
 from .graphalgo import (
     CentralityMetric,
     Direction,
@@ -52,6 +52,7 @@ from .synthgen import GeneratorSpec, generate
 _AXIS_NAMES = {axis.value: axis for axis in CohortAxis}
 _PAGERANK_WARNING = "warning: pagerank hit max iterations before converging"
 _METRICS = {m.value: m for m in CentralityMetric}
+_LEVELS = [level.value for level in GraphLevel]
 
 
 def infer_curr_date(profiles: Iterable[UserProfile]) -> DateMonth:
@@ -68,10 +69,11 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--input", required=True, help="profile corpus (JSONL)")
     common.add_argument("--curr-date", metavar="YYYY-MM", default=None,
                         help="analysis reference month (default: latest date in corpus)")
-    common.add_argument("--min-support", type=int, default=10)
-    common.add_argument("--cohort-min-support", type=int, default=100)
-    common.add_argument("--teleport", type=float, default=0.15)
-    common.add_argument("--bin-years", type=int, default=5)
+    defaults = model.AnalysisConfig  # the class in model, whatever this module binds
+    common.add_argument("--min-support", type=int, default=defaults.min_support)
+    common.add_argument("--cohort-min-support", type=int, default=defaults.cohort_min_support)
+    common.add_argument("--teleport", type=float, default=defaults.teleport_prob)
+    common.add_argument("--bin-years", type=int, default=defaults.group_bin_width_years)
     return common
 
 
@@ -228,13 +230,7 @@ def _cmd_graph_analyze(args) -> int:
     active, config = _load(args)
     graph = require_nodes(_build_level_graph(args, active, config))
     table = _centrality(graph, _METRICS[args.metric], config)
-    level = GraphLevel(args.level)
-    header = (
-        ["metric", "rank", "title", "industry", "score"]
-        if level is GraphLevel.JOB
-        else ["metric", "rank", "organization", "score"]
-    )
-    reports.write_rows(Path(args.out), header, reports.top_rows(table, level, args.top))
+    reports.write_top_k([table], GraphLevel(args.level), Path(args.out), args.top)
     if args.ccdf:
         reports.write_ccdfs([table], Path(args.ccdf))
     if not table.converged:
@@ -344,35 +340,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("stay", parents=[common])
     p.add_argument("--out", required=True)
-    p.add_argument("--stay-bin-months", type=int, default=12)
+    p.add_argument("--stay-bin-months", type=int, default=reports.STAY_BIN_MONTHS)
     p.set_defaults(func=_cmd_metrics_stay)
 
     graph_parser = sub.add_parser("graph", help="build and analyze talent-flow graphs")
     gsub = graph_parser.add_subparsers(dest="graph_command", required=True)
 
     p = gsub.add_parser("build", parents=[common])
-    p.add_argument("--level", choices=["job", "org"], required=True)
+    p.add_argument("--level", choices=_LEVELS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv", "dot", "graphml"], default="csv")
+    p.add_argument("--format", choices=[f.value for f in ExportFormat],
+                   default=ExportFormat.CSV_EDGELIST.value)
     p.add_argument("--distinct-users", action="store_true",
                    help="weight edges by distinct movers instead of hop events")
     p.set_defaults(func=_cmd_graph_build)
 
     p = gsub.add_parser("analyze", parents=[common])
-    p.add_argument("--level", choices=["job", "org"], required=True)
+    p.add_argument("--level", choices=_LEVELS, required=True)
     p.add_argument("--metric", choices=sorted(_METRICS), required=True)
-    p.add_argument("--top", type=int, default=20)
+    p.add_argument("--top", type=int, default=reports.TOP_K)
     p.add_argument("--out", required=True)
     p.add_argument("--ccdf", default=None, help="also write the CCDF to this path")
     p.set_defaults(func=_cmd_graph_analyze)
 
     p = gsub.add_parser("components", parents=[common])
-    p.add_argument("--level", choices=["job", "org"], required=True)
+    p.add_argument("--level", choices=_LEVELS, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_graph_components)
 
     p = gsub.add_parser("powerlaw", parents=[common])
-    p.add_argument("--level", choices=["job", "org"], required=True)
+    p.add_argument("--level", choices=_LEVELS, required=True)
     p.add_argument("--metric", choices=sorted(_METRICS), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_graph_powerlaw)

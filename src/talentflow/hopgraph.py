@@ -18,11 +18,11 @@ stint tables (see HopTable, StintTable).
 A HopGraph is frozen and holds one integer index (GraphIndex): the node
 keys in sorted order, and the edges as integer source and target node ids
 with their weights, in (source, target) order. build_graph makes that index
-from packed integer keys, never from key tuples: it ranks the level's node
-keys in sorted order, counts edge weights with one sort of the packed key
-source_rank * n + target_rank (distinct movers: with one more sort of
+from packed integer keys, never from key tuples: the stint table numbers
+node keys in sorted order, so it counts edge weights with one sort of
+source_id * n + target_id (distinct movers: with one more sort of
 pair_rank * n_users + user code, where pair_rank ranks the distinct pairs),
-prunes, and renumbers the surviving ranks with a cumulative sum, so the
+prunes, and renumbers the surviving ids with a cumulative sum, so the
 edges come out already in index order. The graph's node set is read off
 the index; its edge keys are built on read. GraphIndex.edges, the key
 tuples, and a built graph's edge map, an EdgeMap over the index, are made
@@ -292,15 +292,10 @@ def build_graph(
     else:
         support = _holder_support(stints, level, config.curr_date, profiles, keys)
 
-    # Node ranks: the keys' positions in sorted order, so that packed
-    # (u, v) keys sort into the index's edge order.
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    keys = tuple(map(keys.__getitem__, order))
-    support = support[order]
-    rank = np.empty(len(keys), np.intp)
-    rank[order] = np.arange(len(keys))
+    # Node ids are the keys' positions in sorted order, so packed (u, v)
+    # keys sort into the index's edge order.
     n = len(keys)
-    pairs = rank[node[src]] * n + rank[node[dst]]
+    pairs = node[src] * n + node[dst]
     ordered = np.sort(pairs)
     first = run_starts(ordered)
     edge = ordered[first]

@@ -9,11 +9,12 @@ of input order; consecutive-only pairing keeps one career from being
 counted more than once per transition.
 
 Hops are derived from a StintTable in one pass: a stable sort of all stints
-by (user, start, end, rank of the (title, organization) key) and a
-comparison of neighbouring rows. The result is a HopTable, integer columns
-that point into the stint table; it is also a read-only sequence of Hop
-objects, each built only when it is read. Functions that take hops accept
-the table or any iterable of Hop objects (see HopTable.of).
+by (user, start, end, code of the (title, organization) key, which the
+table numbers in sorted order) and a comparison of neighbouring rows. The
+result is a HopTable, integer columns that point into the stint table; it
+is also a read-only sequence of Hop objects, each built only when it is
+read. Functions that take hops accept the table or any iterable of Hop
+objects (see HopTable.of).
 """
 
 from __future__ import annotations
@@ -131,13 +132,10 @@ class HopTable(RowViews):
     @classmethod
     def of_stints(cls, stints: StintTable) -> "HopTable":
         """Every user's hops, users in table order, each user's in time order."""
-        keys = stints.org_keys
-        rank = np.empty(len(keys), np.intp)
-        rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-        # (title, organization) is the org key, so its rank breaks ties the
-        # way the (start, end, title, organization) order does; lexsort is
-        # stable, so equal stints keep their listing order.
-        order = np.lexsort((rank[stints.org_key], stints.end, stints.start, stints.user))
+        # Org key codes ascend as (title, organization) sorts, so they break
+        # ties the way the (start, end, title, organization) order does;
+        # lexsort is stable, so equal stints keep their listing order.
+        order = np.lexsort((stints.org_key, stints.end, stints.start, stints.user))
         a, b = order[:-1], order[1:]
         is_hop = (
             (stints.user[a] == stints.user[b])

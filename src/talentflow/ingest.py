@@ -54,7 +54,6 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import re
 import signal
 import stat
 import threading
@@ -74,7 +73,9 @@ from .model import (
     ProfileTable,
     UserProfile,
     groups,
+    label_ranks,
     normalize_label,
+    run_starts,
 )
 
 REASON_MALFORMED = "MALFORMED"
@@ -82,7 +83,6 @@ REASON_DUPLICATE_ID = "DUPLICATE_ID"
 
 _PART_BYTES = 1 << 20  # a file has at most one part per this many bytes
 _BLOCK_BYTES = 1 << 18  # how much a part reads at once
-_LINE_END = re.compile(rb"[\r\n]")
 _JOB_FIELDS = itemgetter("title", "organization", "industry", "start")
 
 
@@ -359,14 +359,13 @@ def _repair_industries(
     label. Returns the rewritten industry column.
     """
     order, first, votes = groups(organization, industry)
-    pair = order[first]
-    best: dict[int, tuple[int, str, int]] = {}
-    for org, ind, n in zip(organization[pair].tolist(), industry[pair].tolist(), votes.tolist()):
-        vote = (-n, labels[ind], ind)
-        if org not in best or vote < best[org]:
-            best[org] = vote
+    org, ind = organization[order[first]], industry[order[first]]
+    # Each organization's pairs by most votes, then smallest label: the
+    # first of its run wins.
+    best = np.lexsort((label_ranks(labels)[ind], -votes, org))
+    best = best[run_starts(org[best])]
     canonical = np.zeros(len(labels), np.int64)
-    canonical[list(best)] = [vote[2] for vote in best.values()]
+    canonical[org[best]] = ind[best]
     want = canonical[organization]
     report.industry_repairs += int(np.count_nonzero(want != industry))
     return want
@@ -401,11 +400,7 @@ def _part_starts(path: str | Path) -> list[int]:
             for i in range(1, k):
                 at = max(size * i // k, starts[-1])
                 fh.seek(at)
-                while chunk := fh.read(_BLOCK_BYTES):
-                    if end := _LINE_END.search(chunk):
-                        at += end.end()
-                        break
-                    at += len(chunk)
+                at += len(next(_lines(fh, None), b""))
                 if at >= size:
                     break
                 starts.append(at)

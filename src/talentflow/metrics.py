@@ -51,6 +51,7 @@ from .model import (
     distinct_counts,
     groups,
     months_between,
+    year_bins,
 )
 
 
@@ -420,11 +421,9 @@ def _axis_bins(
         grad = grad[user]
         months = stints.ends_at(index.config.curr_date)[table.src] - grad
         defined = (grad != NO_DATE) & (months >= 0)
-        return np.floor_divide(months / 12.0, width).astype(np.int64), defined
+        return year_bins(months, width), defined
     ages = [job_age_of_jobkey(key, index) for key in stints.job_keys]
-    per_key = np.fromiter(
-        (0 if m is None else int((m / 12.0) // width) for m in ages), np.int64, len(ages)
-    )
+    per_key = year_bins(np.fromiter((0 if m is None else m for m in ages), float, len(ages)), width)
     known = np.fromiter((m is not None for m in ages), bool, len(ages))
     key = stints.job_key[table.src]
     return per_key[key], known[key]

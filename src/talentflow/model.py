@@ -76,6 +76,11 @@ def months_between(a: DateMonth, b: DateMonth) -> int:
     return b.ordinal - a.ordinal
 
 
+def year_bins(months: np.ndarray, width: float) -> np.ndarray:
+    """Per month count, k of its bin [k * width, (k + 1) * width) of years, months / 12."""
+    return np.floor_divide(months / 12.0, width).astype(np.int64)
+
+
 def normalize_label(raw: str) -> str:
     """Canonicalize a free-text label for identity comparisons.
 
@@ -486,6 +491,11 @@ class StintDrops:
         self.negative_experience_jobs += other.negative_experience_jobs
 
 
+def _resolve_ends(end: np.ndarray, curr_date: DateMonth) -> np.ndarray:
+    """End ordinals with an open end, NO_DATE, resolved to curr_date."""
+    return np.where(end == NO_DATE, curr_date.ordinal, end)
+
+
 def usable_stints(
     start: np.ndarray, end: np.ndarray, curr_date: DateMonth, drops: StintDrops
 ) -> np.ndarray:
@@ -497,9 +507,8 @@ def usable_stints(
     stints left out are counted in drops; one that fails both tests counts
     as a future start.
     """
-    now = curr_date.ordinal
-    future = start > now
-    invalid = (np.where(end == NO_DATE, now, end) < start) & ~future
+    future = start > curr_date.ordinal
+    invalid = (_resolve_ends(end, curr_date) < start) & ~future
     drops.future_jobs += int(np.count_nonzero(future))
     drops.invalid_period_jobs += int(np.count_nonzero(invalid))
     return ~(future | invalid)
@@ -515,12 +524,12 @@ class StintTable:
     Row r is job row rows[r] of the ProfileTable source, held by user
     user[r] of that table, so that user_ids, user_code and skill_count are
     the source's. job_key, org_key and org index the distinct job_keys,
-    org_keys and orgs, numbered in order of first appearance. start and end
-    are month ordinals, an open end resolved to curr_date. work_exp is the
-    months from the user's graduation to the end, or NO_EXPERIENCE without a
-    graduation date or when the stint ended before it. Rows keep listing
-    order, profile by profile. drops counts the stints usable_stints left
-    out and the usable ones that ended before graduation.
+    org_keys and orgs, numbered in sorted order whatever the label ids. start
+    and end are month ordinals, an open end resolved to curr_date. work_exp
+    is the months from the user's graduation to the end, or NO_EXPERIENCE
+    without a graduation date or when the stint ended before it. Rows keep
+    listing order, profile by profile. drops counts the stints usable_stints
+    left out and the usable ones that ended before graduation.
 
     A table of hop endpoints has no curr_date: its source holds one
     single-job user per endpoint, every endpoint is a row, open ends read
@@ -563,8 +572,7 @@ class StintTable:
         source = ProfileTable.of(profiles)
         drops = StintDrops()
         rows = np.flatnonzero(usable_stints(source.start, source.end, curr_date, drops))
-        end = source.end[rows]
-        end = np.where(end == NO_DATE, curr_date.ordinal, end)
+        end = _resolve_ends(source.end[rows], curr_date)
         grad = source.grad[source.user[rows]]
         has_grad = grad != NO_DATE
         months = end - grad
@@ -608,8 +616,7 @@ class StintTable:
         """Each row's end ordinal with an open end resolved to curr_date."""
         if curr_date == self.curr_date:
             return self.end
-        end = self.source.end[self.rows]
-        return np.where(end == NO_DATE, curr_date.ordinal, end)
+        return _resolve_ends(self.source.end[self.rows], curr_date)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -625,28 +632,35 @@ def _codes(values: Sequence) -> np.ndarray:
     return np.fromiter((codes.setdefault(v, len(codes)) for v in values), np.intp, len(values))
 
 
-def _first_appearance(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(code per value, index of each code's first value) for an int array.
+def label_ranks(labels: Sequence[str]) -> np.ndarray:
+    """Each label id's position in the sorted order of the label strings."""
+    rank = np.empty(len(labels), np.intp)
+    rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return rank
 
-    Codes number the distinct values in order of first appearance.
+
+def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code per value, index of a value with each code) for an int array.
+
+    Codes number the distinct values in ascending order.
     """
-    order, starts, size = groups(values)  # stable: each group's first row leads it
-    first = order[starts]
-    rank = np.empty(len(first), np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
+    order, first, size = groups(values)
     codes = np.empty(len(values), np.intp)
-    codes[order] = np.repeat(rank, size)
-    return codes, np.sort(first)
+    codes[order] = np.repeat(np.arange(len(first)), size)
+    return codes, order[first]
 
 
 def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
+    # Keys are packed from label ranks, one int64 each, so that their codes
+    # ascend as the key tuples sort.
+    rank = label_ranks(source.labels)
     width = len(source.labels)
     title = source.title[rows]
     industry = source.industry[rows]
     organization = source.organization[rows]
-    job_key, job_first = _first_appearance(title * width + industry)
-    org_key, org_key_first = _first_appearance(title * width + organization)
-    org, org_first = _first_appearance(organization)
+    job_key, job_first = _sorted_codes(rank[title] * width + rank[industry])
+    org_key, org_key_first = _sorted_codes(rank[title] * width + rank[organization])
+    org, org_first = _sorted_codes(rank[organization])
 
     def labels(ids: np.ndarray) -> Iterator[str]:
         return map(source.labels.__getitem__, ids.tolist())

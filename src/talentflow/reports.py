@@ -49,7 +49,7 @@ from .metrics import (
     promotion_by_stay,
     promotion_summary,
 )
-from .model import AnalysisConfig, StintDrops, StintTable, UserProfile, groups
+from .model import AnalysisConfig, StintDrops, StintTable, UserProfile, groups, year_bins
 
 TOP_K = 20
 STAY_BIN_MONTHS = 12
@@ -100,15 +100,11 @@ def write_distributions(
     rows = []
     for lo, hi, n in _histogram(stints.skill_count // SKILL_HIST_WIDTH, SKILL_HIST_WIDTH):
         rows.append(["skill_count", lo, hi, n])
-    for lo, hi, n in _histogram(_year_bins(wk_months), 1.0):
+    for lo, hi, n in _histogram(year_bins(wk_months, 1), 1.0):
         rows.append(["work_experience_years", lo, hi, n])
-    for lo, hi, n in _histogram(_year_bins(age_months), 1.0):
+    for lo, hi, n in _histogram(year_bins(age_months, 1), 1.0):
         rows.append(["job_age_years", lo, hi, n])
     return write_rows(path, ["metric", "bin_lower", "bin_upper", "count"], rows)
-
-
-def _year_bins(months: np.ndarray) -> np.ndarray:
-    return np.floor_divide(months / 12.0, 1.0).astype(np.int64)
 
 
 COHORT_HEADER = [

@@ -37,6 +37,33 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_parser_defaults_and_choices_are_the_library_values():
+    from talentflow import reports
+    from talentflow.cli import build_parser
+    from talentflow.hopgraph import ExportFormat, GraphLevel
+    from talentflow.model import AnalysisConfig
+
+    parse = build_parser().parse_args
+    common = ["--input", "c.jsonl"]
+    build = parse(["graph", "build", "--level", "job", "--out", "o", *common])
+    assert (build.min_support, build.cohort_min_support, build.teleport, build.bin_years) == (
+        AnalysisConfig.min_support, AnalysisConfig.cohort_min_support,
+        AnalysisConfig.teleport_prob, AnalysisConfig.group_bin_width_years,
+    )
+    assert ExportFormat(build.format) is ExportFormat.CSV_EDGELIST
+    analyze = parse(["graph", "analyze", "--level", "org", "--metric", "pagerank", "--out", "o",
+                     *common])
+    assert analyze.top == reports.TOP_K
+    assert parse(["metrics", "stay", "--out", "o", *common]).stay_bin_months == (
+        reports.STAY_BIN_MONTHS
+    )
+    for level in GraphLevel:
+        assert parse(["graph", "components", "--level", level.value, *common]).level == level.value
+    for fmt in ExportFormat:
+        assert parse(["graph", "build", "--level", "job", "--out", "o", "--format", fmt.value,
+                      *common]).format == fmt.value
+
+
 def test_ingest_prints_counts(corpus, capsys):
     assert main(["ingest", "--input", str(corpus)]) == 0
     out = capsys.readouterr().out

@@ -176,10 +176,13 @@ def test_industry_repair_tie_lexicographic(tmp_path):
         return {"title": "engineer", "organization": "acme", "industry": industry,
                 "start": "2010-01", "end": "2011-01"}
 
-    rows = [record("u1", jobs=[j("tech")]), record("u2", jobs=[j("finance")])]
-    path = write_corpus(tmp_path, rows)
-    profiles, _ = ingest_profiles(path)
-    assert {p.jobs[0].industry for p in profiles} == {"finance"}
+    # Label ids follow the order labels are met in, so "finance" has the
+    # largest id, a middle one and the smallest.
+    for industries in (("tech", "finance"), ("tech", "finance", "media"), ("finance", "tech")):
+        rows = [record(f"u{i}", jobs=[j(industry)]) for i, industry in enumerate(industries)]
+        path = write_corpus(tmp_path, rows)
+        profiles, _ = ingest_profiles(path)
+        assert {p.jobs[0].industry for p in profiles} == {"finance"}
 
 
 def test_deterministic_given_bytes(tmp_path):

@@ -11,6 +11,7 @@ organization listed twice, prefix titles and non-ASCII labels.
 """
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -447,6 +448,35 @@ def test_equal_periods_order_by_title_then_organization(reverse):
     (hop,) = extract_all_hops([p], cfg)[0]
     assert (hop.source, hop.dest) == (tied[0], later)
     assert list(extract_all_hops([p], cfg)[0]) == ref_extract_all_hops([p], cfg)[0]
+
+
+def profile_line(p):
+    def stint(j):
+        return {"title": j.title, "organization": j.organization, "industry": j.industry,
+                "start": str(j.start), "end": None if j.end is None else str(j.end)}
+
+    grad = None if p.grad_date is None else str(p.grad_date)
+    return json.dumps({"user_id": p.user_id, "grad_date": grad,
+                       "education_count": p.education_entries, "skills": sorted(p.skills),
+                       "jobs": [stint(j) for j in p.jobs]})
+
+
+@given(corpus_st(), cfg_st())
+@settings(max_examples=60, deadline=None)
+def test_stint_keys_are_coded_in_sorted_order(tmp_path_factory, profiles, cfg):
+    path = tmp_path_factory.mktemp("keys") / "corpus.jsonl"
+    path.write_text("".join(profile_line(p) + "\n" for p in profiles), encoding="utf-8")
+    ingested, _ = ingest_profiles(path)
+    hops, _ = extract_all_hops(profiles, cfg)
+    tables = [StintTable.of(ingested, cfg.curr_date), StintTable.of(profiles, cfg.curr_date),
+              HopTable.of(list(hops)).stints]
+    for stints in tables:
+        jobs = [stints.job(r) for r in range(len(stints))]
+        for keys, codes, key in ((stints.job_keys, stints.job_key, attrgetter("key")),
+                                 (stints.org_keys, stints.org_key, attrgetter("org_key")),
+                                 (stints.orgs, stints.org, attrgetter("organization"))):
+            assert list(keys) == sorted(set(map(key, jobs)))  # strictly increasing, all used
+            assert [keys[k] for k in codes.tolist()] == list(map(key, jobs))
 
 
 def test_empty_result_and_read_only_columns():
