@@ -26,7 +26,7 @@ from .graphalgo import (
     fit_power_law,
     weighted_pagerank,
 )
-from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph, require_nodes
+from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph, has_moves, require_nodes
 from .hops import extract_all_hops
 from .ingest import filter_active, ingest_profiles
 from .metrics import (
@@ -201,19 +201,24 @@ def _cmd_metrics_stay(args) -> int:
 
 
 def _build_level_graph(args, active, config):
+    """The pruned graph at args.level; ValueError if it has no moves or no node."""
     hops, _ = extract_all_hops(active, config)
-    return build_graph(
+    level = GraphLevel(args.level)
+    if not has_moves(hops, level):
+        moves = "external hop" if level is GraphLevel.ORG else "hop"
+        raise ValueError(f"{level.value} graph has no moves: no {moves} in {args.input}")
+    return require_nodes(build_graph(
         hops,
-        GraphLevel(args.level),
+        level,
         config,
         profiles=active,
         distinct_users=getattr(args, "distinct_users", False),
-    )
+    ))
 
 
 def _cmd_graph_build(args) -> int:
     active, config = _load(args)
-    graph = require_nodes(_build_level_graph(args, active, config))
+    graph = _build_level_graph(args, active, config)
     export_graph(graph, ExportFormat(args.format), args.out)
     print(args.out)
     return 0
@@ -228,7 +233,7 @@ def _centrality(graph, metric: CentralityMetric, config):
 
 def _cmd_graph_analyze(args) -> int:
     active, config = _load(args)
-    graph = require_nodes(_build_level_graph(args, active, config))
+    graph = _build_level_graph(args, active, config)
     table = _centrality(graph, _METRICS[args.metric], config)
     reports.write_top_k([table], GraphLevel(args.level), Path(args.out), args.top)
     if args.ccdf:
@@ -239,22 +244,27 @@ def _cmd_graph_analyze(args) -> int:
     return 0
 
 
+def _emit_row(out: str | None, header: list[str], row: list) -> None:
+    """Write one row under header to the CSV out and print its path, or
+    print the row as name: value lines when out is None."""
+    if out:
+        reports.write_rows(Path(out), header, [row])
+        print(out)
+    else:
+        for name, value in zip(header, row):
+            print(f"{name}: {reports.fmt(value)}")
+
+
 def _cmd_graph_components(args) -> int:
     active, config = _load(args)
-    graph = require_nodes(_build_level_graph(args, active, config))
-    row = reports.graph_stats_row(args.level, graph)
-    if args.out:
-        reports.write_rows(Path(args.out), reports.GRAPH_STATS_HEADER, [row])
-        print(args.out)
-    else:
-        for name, value in zip(reports.GRAPH_STATS_HEADER, row):
-            print(f"{name}: {reports.fmt(value)}")
+    graph = _build_level_graph(args, active, config)
+    _emit_row(args.out, reports.GRAPH_STATS_HEADER, reports.graph_stats_row(args.level, graph))
     return 0
 
 
 def _cmd_graph_powerlaw(args) -> int:
     active, config = _load(args)
-    graph = require_nodes(_build_level_graph(args, active, config))
+    graph = _build_level_graph(args, active, config)
     table = _centrality(graph, _METRICS[args.metric], config)
     if args.metric == "pagerank":
         # Discrete fitting needs positive integers; use per-node rank mass
@@ -264,13 +274,7 @@ def _cmd_graph_powerlaw(args) -> int:
         values = [int(s) for s in table.scores.values() if s >= 1]
     fit = fit_power_law(values)
     row = [args.level, args.metric, fit.alpha, fit.xmin, fit.ks_statistic, fit.n_tail]
-    header = ["graph", "metric", "alpha", "xmin", "ks_statistic", "n_tail"]
-    if args.out:
-        reports.write_rows(Path(args.out), header, [row])
-        print(args.out)
-    else:
-        for name, value in zip(header, row):
-            print(f"{name}: {reports.fmt(value)}")
+    _emit_row(args.out, ["graph", "metric", "alpha", "xmin", "ks_statistic", "n_tail"], row)
     return 0
 
 

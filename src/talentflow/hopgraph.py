@@ -316,6 +316,12 @@ def build_graph(
     return HopGraph._of_index(level, index, dict(zip(nodes, support[kept].tolist())))
 
 
+def has_moves(hops: HopTable, level: GraphLevel) -> bool:
+    """Whether the level's graph has a move before pruning: any hop for the
+    job graph, an external hop for the org graph."""
+    return bool(hops.external.any() if level is GraphLevel.ORG else len(hops))
+
+
 def require_nodes(graph: HopGraph) -> HopGraph:
     """graph itself; a graph with no node, as pruning can leave, raises ValueError."""
     if not graph.nodes:

@@ -24,8 +24,10 @@ job label cannot be encoded as UTF-8 (a lone surrogate escape such as
 Each accepted profile goes straight into a model.ProfileColumns, the one
 builder of a ProfileTable: labels become integer ids, each distinct raw label
 normalized once, and dates month ordinals, each distinct date text parsed
-once. No UserProfile or JobRecord is built; the table builds them as views
-when one is read.
+once. One parser validates and codes each record: it codes a field in one
+pass and, only where that pass fails, again field by field to take the
+field or name its fault. No UserProfile or JobRecord is built; the table
+builds them as views when one is read.
 
 A file is read in parts, cut at line starts: one per usable CPU (those
 os.sched_getaffinity allows), but no more than one per MiB. The caller
@@ -133,7 +135,8 @@ def _codes(columns: ProfileColumns) -> tuple[_Codes, _Codes]:
     return _Codes(normalize_label, columns.label), _Codes(DateMonth.parse, columns.ordinal)
 
 
-# The checked parsers name a bad field where + name, as in "jobs[2]" ".start".
+# The per-field parsers, which _checked falls back to for a field its one
+# pass cannot code, name a bad field where + name, as in "jobs[2]" ".start".
 
 
 def _date(value: object, dates: _Codes, where: str, name: str = "") -> int:
@@ -197,8 +200,15 @@ _Record = tuple[str, int, int, dict, list]
 
 
 def _checked(obj: object, labels: _Codes, dates: _Codes) -> _Record:
-    """Validate one decoded record; raises MalformedRecordError at the first
-    fault, in the order user_id, education_count, skills, jobs, grad_date."""
+    """Validate and code one decoded record; raises MalformedRecordError at
+    the first fault, in the order user_id, education_count, skills, jobs,
+    grad_date.
+
+    Each skill list, each job and the graduation date is coded in one pass.
+    Only a pass that raises KeyError, TypeError or ValueError goes through
+    the per-field parsers, which code again, from the cache, what it coded,
+    in the same order, and then take the field or name its fault.
+    """
     if not isinstance(obj, dict):
         raise MalformedRecordError(f"expected JSON object, got {type(obj).__name__}")
 
@@ -218,55 +228,32 @@ def _checked(obj: object, labels: _Codes, dates: _Codes) -> _Record:
     raw_skills = obj.get("skills", [])
     if not isinstance(raw_skills, list):
         raise MalformedRecordError(f"skills: expected list, got {raw_skills!r}")
-    skills = _skills(raw_skills, labels)
+    try:
+        skills = dict.fromkeys(map(labels.__getitem__, raw_skills))
+    except (KeyError, TypeError, ValueError):
+        skills = _skills(raw_skills, labels)
 
     raw_jobs = obj.get("jobs", [])
     if not isinstance(raw_jobs, list):
         raise MalformedRecordError(f"jobs: expected list, got {raw_jobs!r}")
     jobs: list[int] = []
     for i, job in enumerate(raw_jobs):
-        jobs += _job(job, f"jobs[{i}]", labels, dates)
+        try:
+            title, organization, industry, start = _JOB_FIELDS(job)
+            end = job.get("end")
+            jobs += (
+                labels[title], labels[organization], labels[industry],
+                dates[start], NO_DATE if end is None else dates[end],
+            )
+        except (KeyError, TypeError, ValueError):
+            jobs += _job(job, f"jobs[{i}]", labels, dates)
 
-    return user_id.strip(), _grad_date(obj.get("grad_date"), dates), education, skills, jobs
-
-
-def _coded(obj: object, labels: _Codes, dates: _Codes) -> _Record:
-    """_checked's result for a record it takes without a fault.
-
-    Anything else raises KeyError, TypeError or ValueError, after coding
-    only labels and dates that _checked codes too before it raises: fields
-    are read in its order, and every type is checked before a lookup that
-    could code a label.
-    """
-    user_id = obj["user_id"]  # TypeError unless obj is a dict
-    education = obj.get("education_count", 0)
-    raw_skills = obj.get("skills", [])
-    raw_jobs = obj.get("jobs", [])
-    if (
-        type(user_id) is not str or not user_id.isascii() or not (user_id := user_id.strip())
-        or type(education) is not int or education < 0
-        or type(raw_skills) is not list or type(raw_jobs) is not list
-    ):
-        raise ValueError
-    skills = dict.fromkeys(map(labels.__getitem__, raw_skills))
-    jobs: list[int] = []
-    for job in raw_jobs:
-        if type(job) is not dict:
-            raise TypeError
-        title, organization, industry, start = _JOB_FIELDS(job)
-        end = job.get("end")
-        jobs += (
-            labels[title], labels[organization], labels[industry],
-            dates[start], NO_DATE if end is None else dates[end],
-        )
     grad = obj.get("grad_date")
-    if grad is None:
-        grad = NO_DATE
-    elif type(grad) is list:
-        grad = max([dates[g] for g in grad], default=NO_DATE)
-    else:
-        grad = dates[grad]
-    return user_id, grad, education, skills, jobs
+    try:
+        grad = NO_DATE if grad is None else dates[grad]
+    except (KeyError, TypeError, ValueError):
+        grad = _grad_date(grad, dates)
+    return user_id.strip(), grad, education, skills, jobs
 
 
 def _decode(line: str) -> object:
@@ -309,9 +296,8 @@ def _read_part(
     """The profiles on the lines that start in bytes start:stop of the file,
     or from start to its end when stop is None, with their counts.
 
-    Each line is decoded as UTF-8 and as JSON, and coded by _coded; a record
-    _coded cannot take goes through _checked, which accepts it or names its
-    fault. A repeated user id is rejected within the part only.
+    Each line is decoded as UTF-8 and as JSON, and validated and coded by
+    _checked. A repeated user id is rejected within the part only.
     """
     columns = ProfileColumns()
     report = IngestReport()
@@ -334,13 +320,10 @@ def _read_part(
                     report._reject(REASON_MALFORMED)
                 continue
             try:
-                record = _coded(obj, labels, dates)
-            except (KeyError, TypeError, ValueError):
-                try:
-                    record = _checked(obj, labels, dates)
-                except MalformedRecordError:
-                    report._reject(REASON_MALFORMED)
-                    continue
+                record = _checked(obj, labels, dates)
+            except MalformedRecordError:
+                report._reject(REASON_MALFORMED)
+                continue
             if record[0] in seen:
                 report._reject(REASON_DUPLICATE_ID)
                 continue

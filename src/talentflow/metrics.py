@@ -39,6 +39,7 @@ import numpy as np
 from .hops import Hop, HopKind, HopTable
 from .model import (
     NO_DATE,
+    NO_EXPERIENCE,
     AnalysisConfig,
     DateMonth,
     JobKey,
@@ -51,6 +52,7 @@ from .model import (
     distinct_counts,
     groups,
     months_between,
+    work_experience_months,
     year_bins,
 )
 
@@ -418,10 +420,9 @@ def _axis_bins(
         )
         return per_user[user], np.ones(len(table), bool)
     if axis is CohortAxis.WORK_EXP:
-        grad = grad[user]
-        months = stints.ends_at(index.config.curr_date)[table.src] - grad
-        defined = (grad != NO_DATE) & (months >= 0)
-        return year_bins(months, width), defined
+        end = stints.ends_at(index.config.curr_date)[table.src]
+        months = work_experience_months(end, grad[user])
+        return year_bins(months, width), months != NO_EXPERIENCE
     ages = [job_age_of_jobkey(key, index) for key in stints.job_keys]
     per_key = year_bins(np.fromiter((0 if m is None else m for m in ages), float, len(ages)), width)
     known = np.fromiter((m is not None for m in ages), bool, len(ages))

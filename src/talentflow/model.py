@@ -517,6 +517,13 @@ def usable_stints(
 NO_EXPERIENCE = -1  # StintTable.work_exp where work experience is undefined
 
 
+def work_experience_months(end: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Per row, the months from graduation grad to end, or NO_EXPERIENCE
+    without a graduation date (NO_DATE) or when end is before it."""
+    months = end - grad
+    return np.where((grad != NO_DATE) & (months >= 0), months, NO_EXPERIENCE)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class StintTable:
     """The usable stints of a profile table at one analysis date, as columns.
@@ -574,10 +581,9 @@ class StintTable:
         rows = np.flatnonzero(usable_stints(source.start, source.end, curr_date, drops))
         end = _resolve_ends(source.end[rows], curr_date)
         grad = source.grad[source.user[rows]]
-        has_grad = grad != NO_DATE
-        months = end - grad
-        drops.negative_experience_jobs = int(np.count_nonzero(has_grad & (months < 0)))
-        work_exp = np.where(has_grad & (months >= 0), months, NO_EXPERIENCE)
+        work_exp = work_experience_months(end, grad)
+        ended_before_grad = (grad != NO_DATE) & (work_exp == NO_EXPERIENCE)
+        drops.negative_experience_jobs = int(np.count_nonzero(ended_before_grad))
         return _stint_table(curr_date, source, rows, end, work_exp, drops)
 
     @classmethod

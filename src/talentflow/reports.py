@@ -33,7 +33,7 @@ from .graphalgo import (
     top_k,
     weighted_pagerank,
 )
-from .hopgraph import GraphLevel, HopGraph, build_graph, require_nodes
+from .hopgraph import GraphLevel, HopGraph, build_graph, has_moves, require_nodes
 from .hops import extract_all_hops
 from .ingest import filter_active
 from .metrics import (
@@ -281,10 +281,9 @@ def write_all_reports(
     org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=stints)
     # A level with moves that pruning left without a node is refused; a
     # level without moves has a truly empty graph, whose rows read zero.
-    if len(hops):
-        require_nodes(job_graph)
-    if hops.external.any():
-        require_nodes(org_graph)
+    for level, graph in ((GraphLevel.JOB, job_graph), (GraphLevel.ORG, org_graph)):
+        if has_moves(hops, level):
+            require_nodes(graph)
     index = CorpusIndex.build(stints, config)
 
     crosses = [

@@ -252,6 +252,29 @@ def test_a_graph_that_pruning_empties_fails_every_analysis(tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
 
 
+def test_a_level_without_moves_fails_naming_the_cause(tmp_path, capsys):
+    job = {"title": "a", "organization": "x", "industry": "i", "start": "2010-01", "end": "2011-01"}
+    record = {"user_id": "u1", "grad_date": "2009-06", "education_count": 1, "skills": ["s"],
+              "jobs": [job]}
+    one_job, internal = tmp_path / "one_job.jsonl", tmp_path / "internal.jsonl"
+    one_job.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    jobs = [job, {**job, "title": "b", "start": "2011-01", "end": None}]
+    internal.write_text(json.dumps({**record, "jobs": jobs}) + "\n", encoding="utf-8")
+    cases = [(one_job, "job", "hop"), (one_job, "org", "external hop"),
+             (internal, "org", "external hop")]
+    for corpus, level, moves in cases:
+        for command in PRUNING_COMMANDS:
+            args = [a if a != "o.csv" else str(tmp_path / a) for a in command]
+            assert main(args + ["--level", level, "--input", str(corpus),
+                                "--min-support", "1"]) == 1, command
+            assert capsys.readouterr().err == (
+                f"error: ValueError: {level} graph has no moves: no {moves} in {corpus}\n"
+            )
+    assert not (tmp_path / "o.csv").exists()
+    assert main(["graph", "components", "--level", "job", "--input", str(internal),
+                 "--min-support", "1"]) == 0
+
+
 def test_metrics_cohorts(corpus, tmp_path):
     out = tmp_path / "cohorts.csv"
     assert main([
@@ -319,11 +342,18 @@ def test_graph_analyze_pagerank_top20(corpus, tmp_path):
     assert read_csv(ccdf)[0] == ["metric", "value", "ccdf"]
 
 
-def test_graph_components(corpus, capsys):
-    assert main(["graph", "components", "--input", str(corpus), "--level", "org"]) == 0
+def test_graph_components(corpus, tmp_path, capsys):
+    args = ["graph", "components", "--input", str(corpus), "--level", "org"]
+    assert main(args) == 0
     out = capsys.readouterr().out
     assert "scc_count:" in out
     assert "largest_wcc_size:" in out
+    # --out writes the same values as one CSV row under the printed names.
+    path = tmp_path / "stats.csv"
+    assert main(args + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}\n"
+    header, row = read_csv(path)
+    assert [f"{name}: {value}" for name, value in zip(header, row)] == out.splitlines()
 
 
 def test_graph_powerlaw(corpus, capsys):

@@ -361,8 +361,10 @@ def assert_equals_the_reference(path, profiles, report, curr):
     assert profiles == want and list(profiles) == want
     assert report == want_report
     # Label ids number labels in the order parsing first met them, also
-    # those of records rejected later.
+    # those of records rejected later; months hold the dates it met, in
+    # that order, and none that follows a record's first fault.
     assert profiles.labels == tuple(memo.order)
+    assert list(profiles.months) == list(dict.fromkeys(d.ordinal for d in memo.dates.values()))
     assert filter_active(profiles) == [p for p in want if p.is_active]
     if want and any(p.grad_date or p.jobs for p in want):
         assert infer_curr_date(profiles) == max(
