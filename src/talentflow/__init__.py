@@ -38,6 +38,7 @@ from .graphalgo import (
     ComponentMode,
     ComponentReport,
     PowerLawFit,
+    centrality,
     centrality_ccdf,
     connected_components,
     component_report,

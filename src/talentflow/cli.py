@@ -19,13 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from . import model, reports
-from .graphalgo import (
-    CentralityMetric,
-    Direction,
-    degree_centrality,
-    fit_power_law,
-    weighted_pagerank,
-)
+from .graphalgo import CentralityMetric, centrality, fit_power_law
 from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph, has_moves, require_nodes
 from .hops import extract_all_hops
 from .ingest import filter_active, ingest_profiles
@@ -224,17 +218,10 @@ def _cmd_graph_build(args) -> int:
     return 0
 
 
-def _centrality(graph, metric: CentralityMetric, config):
-    if metric is CentralityMetric.PAGERANK:
-        return weighted_pagerank(graph, config)
-    direction = Direction.IN if metric is CentralityMetric.IN_DEGREE else Direction.OUT
-    return degree_centrality(graph, direction)
-
-
 def _cmd_graph_analyze(args) -> int:
     active, config = _load(args)
     graph = _build_level_graph(args, active, config)
-    table = _centrality(graph, _METRICS[args.metric], config)
+    table = centrality(graph, _METRICS[args.metric], config)
     reports.write_top_k([table], GraphLevel(args.level), Path(args.out), args.top)
     if args.ccdf:
         reports.write_ccdfs([table], Path(args.ccdf))
@@ -265,7 +252,7 @@ def _cmd_graph_components(args) -> int:
 def _cmd_graph_powerlaw(args) -> int:
     active, config = _load(args)
     graph = _build_level_graph(args, active, config)
-    table = _centrality(graph, _METRICS[args.metric], config)
+    table = centrality(graph, _METRICS[args.metric], config)
     if args.metric == "pagerank":
         # Discrete fitting needs positive integers; use per-node rank mass
         # in parts per million.

@@ -129,6 +129,16 @@ def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTabl
     return _table(CentralityMetric.PAGERANK, graph, rank, converged, iterations)
 
 
+def centrality(
+    graph: HopGraph, metric: CentralityMetric, config: AnalysisConfig
+) -> CentralityTable:
+    """The metric's table: in- or out-degree, or weighted PageRank."""
+    if metric is CentralityMetric.PAGERANK:
+        return weighted_pagerank(graph, config)
+    direction = Direction.IN if metric is CentralityMetric.IN_DEGREE else Direction.OUT
+    return degree_centrality(graph, direction)
+
+
 def _adjacency(idx: GraphIndex) -> tuple[list[int], list[int]]:
     """CSR adjacency over node ids, following edge direction: v's
     out-neighbors are nbrs[start[v]:start[v + 1]]."""

@@ -23,12 +23,12 @@ node keys in sorted order, so it counts edge weights with one sort of
 source_id * n + target_id (distinct movers: with one more sort of
 pair_rank * n_users + user code, where pair_rank ranks the distinct pairs),
 prunes, and renumbers the surviving ids with a cumulative sum, so the
-edges come out already in index order. The graph's node set is read off
-the index; its edge keys are built on read. GraphIndex.edges, the key
-tuples, and a built graph's edge map, an EdgeMap over the index, are made
-on their first read and kept. The edge map's length is the index's edge
-count, so building, analysing and exporting a graph makes no per-edge key
-object. A graph built from key dicts (HopGraph(...),
+edges come out already in index order. It hands HopGraph that index with
+the index's nodes and an EdgeMap over it as the edges. GraphIndex.edges,
+the key tuples, and the EdgeMap's dict are made on their first read and
+kept; the edge map's length is the index's edge count, so building,
+analysing and exporting a graph makes no per-edge key object. A graph
+given key dicts and no index (HopGraph(level, nodes, support, edges),
 import_graph_csv) is indexed by GraphIndex.of, which maps the keys to ids
 and hands them to the same array constructor, GraphIndex.of_ids.
 
@@ -59,6 +59,7 @@ from .model import (
     StintTable,
     UserProfile,
     distinct_counts,
+    read_only,
     run_starts,
 )
 
@@ -149,8 +150,7 @@ class GraphIndex:
         src = src[perm].astype(np.intp, copy=False)
         dst = dst[perm].astype(np.intp, copy=False)
         weight = weight[perm].astype(np.int64, copy=False)
-        for a in (src, dst, weight):
-            a.flags.writeable = False
+        read_only(src, dst, weight)
         return cls(nodes, src, dst, weight)
 
     @property
@@ -204,40 +204,25 @@ class EdgeMap(Mapping):
 class HopGraph:
     """A built graph, frozen, with its integer index (see GraphIndex).
 
-    The node set is stored as a frozenset. A graph that build_graph makes
-    reads its node set off the index and holds an EdgeMap over it, whose
-    keys are built on their first read; a graph constructed from these
-    fields keeps the edge mapping it is given and computes its index from
-    them. node_support and edges must not be mutated, because every
-    analytic and export reads the index. An edge whose endpoint is not a
-    node raises ValueError.
+    The node set is stored as a frozenset. Without an index, one is
+    computed from the nodes and edges (GraphIndex.of); a given index must
+    be the index of the given nodes and edges. build_graph gives its
+    finished index and an EdgeMap over it as the edges, whose keys are
+    built on their first read. node_support and edges must not be mutated,
+    because every analytic and export reads the index. An edge whose
+    endpoint is not a node raises ValueError.
     """
 
     level: GraphLevel
     nodes: frozenset[NodeKey]
     node_support: dict[NodeKey, int]
     edges: Mapping[tuple[NodeKey, NodeKey], int]
-    index: GraphIndex = field(init=False, repr=False, compare=False)
+    index: GraphIndex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "index", GraphIndex.of(self.nodes, self.edges))
-
-    @classmethod
-    def _of_index(
-        cls, level: GraphLevel, index: GraphIndex, node_support: dict[NodeKey, int]
-    ) -> "HopGraph":
-        """The graph of a finished index: its nodes are read off it, its edges are a view of it."""
-        graph = cls.__new__(cls)
-        for name, value in (
-            ("level", level),
-            ("nodes", frozenset(index.nodes)),
-            ("node_support", node_support),
-            ("edges", EdgeMap(index)),
-            ("index", index),
-        ):
-            object.__setattr__(graph, name, value)
-        return graph
+        if self.index is None:
+            object.__setattr__(self, "index", GraphIndex.of(self.nodes, self.edges))
 
     @property
     def self_loop_mass(self) -> int:
@@ -313,7 +298,8 @@ def build_graph(
     ids = np.cumsum(kept) - 1  # monotone, so the edges stay in (src, dst) order
     nodes = tuple(map(keys.__getitem__, np.flatnonzero(kept).tolist()))
     index = GraphIndex.of_ids(nodes, ids[u[live]], ids[v[live]], weight[live])
-    return HopGraph._of_index(level, index, dict(zip(nodes, support[kept].tolist())))
+    support = dict(zip(nodes, support[kept].tolist()))
+    return HopGraph(level, nodes, support, EdgeMap(index), index)
 
 
 def has_moves(hops: HopTable, level: GraphLevel) -> bool:

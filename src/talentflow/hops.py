@@ -34,6 +34,7 @@ from .model import (
     StintTable,
     UserProfile,
     months_between,
+    read_only,
 )
 
 
@@ -78,6 +79,7 @@ def classify_hop(
     return None
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class HopTable(RowViews):
     """Hops as integer columns over a stint table; a read-only Sequence[Hop].
 
@@ -87,23 +89,14 @@ class HopTable(RowViews):
     The arrays are read-only.
     """
 
-    __slots__ = ("stints", "src", "dst", "external", "stay")
+    stints: StintTable
+    src: np.ndarray  # intp
+    dst: np.ndarray  # intp
+    external: np.ndarray  # bool
+    stay: np.ndarray  # int64
 
-    def __init__(
-        self,
-        stints: StintTable,
-        src: np.ndarray,
-        dst: np.ndarray,
-        external: np.ndarray,
-        stay: np.ndarray,
-    ) -> None:
-        for a in (src, dst, external, stay):
-            a.flags.writeable = False
-        self.stints = stints
-        self.src = src
-        self.dst = dst
-        self.external = external
-        self.stay = stay
+    def __post_init__(self) -> None:
+        read_only(self.src, self.dst, self.external, self.stay)
 
     @classmethod
     def of(cls, hops: Iterable[Hop]) -> "HopTable":

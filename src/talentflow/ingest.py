@@ -307,20 +307,15 @@ def _read_part(
         if start:
             fh.seek(start)
         for line in _lines(fh, None if stop is None else stop - start):
-            if line.isspace():
-                continue
             try:
                 text = line.decode()
-                obj = json.loads(text)
             except UnicodeDecodeError:
                 report._reject(REASON_MALFORMED)
                 continue
-            except (ValueError, RecursionError):
-                if not text.isspace():  # whitespace beyond ASCII is blank too
-                    report._reject(REASON_MALFORMED)
+            if text.isspace():
                 continue
             try:
-                record = _checked(obj, labels, dates)
+                record = _checked(_decode(text), labels, dates)
             except MalformedRecordError:
                 report._reject(REASON_MALFORMED)
                 continue
@@ -465,7 +460,7 @@ def _append(columns: ProfileColumns, report: IngestReport, part: _Packed) -> Non
     ints.clear()  # the arrays hold the bytes they still need
     code = np.array([columns.label(label) for label in labels], np.int64)
     for ordinal in months:
-        columns.months.setdefault(ordinal, DateMonth(ordinal // 12, ordinal % 12 + 1))
+        columns.months.setdefault(ordinal, DateMonth.of_ordinal(ordinal))
     report.total_records += total
     for reason, n in reasons.items():
         report._reject(reason, n)

@@ -52,6 +52,7 @@ from .model import (
     distinct_counts,
     groups,
     months_between,
+    read_only,
     work_experience_months,
     year_bins,
 )
@@ -148,6 +149,15 @@ def _means(keys: Sequence, codes: np.ndarray, values: np.ndarray) -> dict:
     }
 
 
+def _known(
+    values: Sequence, missing: float = 0.0, dtype: type = np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Optional per-key values as (value array, known mask); None reads missing."""
+    n = len(values)
+    known = np.fromiter((v is not None for v in values), bool, n)
+    return np.fromiter((missing if v is None else v for v in values), dtype, n), known
+
+
 def work_experience_of_jobkey(key: JobKey, index: CorpusIndex) -> float | None:
     """Mean work experience (months) over instances of (title, industry).
 
@@ -196,6 +206,7 @@ class LevelGainRecord:
 LABELS = (LevelGainLabel.PROMOTION, LevelGainLabel.DEMOTION, LevelGainLabel.NEUTRAL)
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class LevelGainTable(RowViews):
     """Level-gain records as columns; a read-only Sequence[LevelGainRecord].
 
@@ -205,25 +216,15 @@ class LevelGainTable(RowViews):
     The arrays are read-only.
     """
 
-    __slots__ = ("hops", "hop", "source_level", "dest_level", "gain", "label")
+    hops: HopTable
+    hop: np.ndarray  # intp
+    source_level: np.ndarray  # float64
+    dest_level: np.ndarray  # float64
+    gain: np.ndarray  # float64
+    label: np.ndarray  # intp
 
-    def __init__(
-        self,
-        hops: HopTable,
-        hop: np.ndarray,
-        source_level: np.ndarray,
-        dest_level: np.ndarray,
-        gain: np.ndarray,
-        label: np.ndarray,
-    ) -> None:
-        for a in (hop, source_level, dest_level, gain, label):
-            a.flags.writeable = False
-        self.hops = hops
-        self.hop = hop
-        self.source_level = source_level
-        self.dest_level = dest_level
-        self.gain = gain
-        self.label = label
+    def __post_init__(self) -> None:
+        read_only(self.hop, self.source_level, self.dest_level, self.gain, self.label)
 
     @classmethod
     def of(cls, records: Iterable[LevelGainRecord]) -> "LevelGainTable":
@@ -288,10 +289,7 @@ def level_gains(hops: Iterable[Hop], index: CorpusIndex) -> LevelGainTable:
     """
     table = HopTable.of(hops)
     stints = table.stints
-    levels = [job_level(key, index) for key in stints.org_keys]
-    n_keys = len(levels)
-    supported = np.fromiter((v is not None for v in levels), bool, n_keys)
-    level = np.fromiter((0.0 if v is None else v for v in levels), np.float64, n_keys)
+    level, supported = _known([job_level(key, index) for key in stints.org_keys])
     src_key = stints.org_key[table.src]
     dst_key = stints.org_key[table.dst]
     hop = np.flatnonzero(supported[src_key] & supported[dst_key])
@@ -423,18 +421,16 @@ def _axis_bins(
         end = stints.ends_at(index.config.curr_date)[table.src]
         months = work_experience_months(end, grad[user])
         return year_bins(months, width), months != NO_EXPERIENCE
-    ages = [job_age_of_jobkey(key, index) for key in stints.job_keys]
-    per_key = year_bins(np.fromiter((0 if m is None else m for m in ages), float, len(ages)), width)
-    known = np.fromiter((m is not None for m in ages), bool, len(ages))
+    ages, known = _known([job_age_of_jobkey(key, index) for key in stints.job_keys])
     key = stints.job_key[table.src]
-    return per_key[key], known[key]
+    return year_bins(ages, width)[key], known[key]
 
 
 def _user_grads(
     stints: StintTable, profiles: Mapping[str, UserProfile] | ProfileTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per user of the stint table: is the user's id among profiles, and the
-    graduation month of its profile (NO_DATE without one).
+    """Per user of the stint table: the graduation month of its profile
+    (NO_DATE without one), and whether the user's id is among profiles.
 
     Where an id occurs twice in a ProfileTable, the later profile counts,
     as in a dict built from it.
@@ -449,9 +445,7 @@ def _user_grads(
             grads.append(
                 None if p is None else NO_DATE if p.grad_date is None else p.grad_date.ordinal
             )
-    known = np.fromiter((g is not None for g in grads), bool, len(grads))
-    grad = np.fromiter((NO_DATE if g is None else g for g in grads), np.int64, len(grads))
-    return known, grad
+    return _known(grads, NO_DATE, np.int64)
 
 
 def external_hop_fraction(
@@ -469,7 +463,7 @@ def external_hop_fraction(
     below cohort_min_support carry fraction=None and suppressed=True.
     """
     table = HopTable.of(hops)
-    known, grad = _user_grads(table.stints, profiles_by_id)
+    grad, known = _user_grads(table.stints, profiles_by_id)
     keep = known[table.user]
     bins = []
     for axis in axes:

@@ -58,6 +58,11 @@ class DateMonth:
         object.__setattr__(self, "ordinal", self.year * 12 + self.month - 1)
 
     @classmethod
+    def of_ordinal(cls, ordinal: int) -> "DateMonth":
+        """The month ordinal months after January of year 0."""
+        return cls(ordinal // 12, ordinal % 12 + 1)
+
+    @classmethod
     def parse(cls, text: str) -> "DateMonth":
         m = _DATE_RE.fullmatch(text)
         if m is None:
@@ -168,6 +173,12 @@ class UserProfile:
         return self.education_entries >= 1 and len(self.skills) >= 1
 
 
+def read_only(*arrays: np.ndarray) -> None:
+    """Clear each array's writeable flag: how every table freezes its columns."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 class RowViews(Sequence):
     """A read-only sequence of objects built on demand from table rows.
 
@@ -247,10 +258,9 @@ class ProfileTable(RowViews):
         object.__setattr__(
             self, "job_start", _offsets(np.bincount(self.user, minlength=len(self.user_id)))
         )
-        for a in (self.user_code, self.grad, self.education, self.skill_start, self.skill,
+        read_only(self.user_code, self.grad, self.education, self.skill_start, self.skill,
                   self.user, self.title, self.organization, self.industry, self.start,
-                  self.end, self.job_start):
-            a.flags.writeable = False
+                  self.end, self.job_start)
 
     @classmethod
     def of(cls, profiles: Iterable[UserProfile]) -> "ProfileTable":
@@ -285,7 +295,7 @@ class ProfileTable(RowViews):
         return (self.education >= 1) & (self.skill_count >= 1)
 
     def month(self, ordinal: int) -> DateMonth:
-        return self.months.get(ordinal) or DateMonth(ordinal // 12, ordinal % 12 + 1)
+        return self.months.get(ordinal) or DateMonth.of_ordinal(ordinal)
 
     def job(self, r: int) -> JobRecord:
         """Job row r as a JobRecord."""
@@ -673,8 +683,7 @@ def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
 
     user = source.user[rows]
     start = source.start[rows]
-    for a in (rows, user, job_key, org_key, org, start, end, work_exp):
-        a.flags.writeable = False
+    read_only(rows, user, job_key, org_key, org, start, end, work_exp)
     return StintTable(
         curr_date,
         source,
@@ -743,7 +752,11 @@ class AnalysisConfig:
     cohort_min_support: int = 100
     teleport_prob: float = 0.15
     pagerank_tol: float = 1e-8
-    pagerank_max_iter: int = 100
+    # Each PageRank step is an L1 contraction by 1 - teleport_prob, so the
+    # change after step k is at most 2 * (1 - teleport_prob) ** (k - 1), and
+    # ceil(1 + ln(tol / 2) / ln(1 - teleport_prob)) = 119 steps bring it
+    # below tol at the defaults: PageRank converges by construction.
+    pagerank_max_iter: int = 119
 
     def __post_init__(self) -> None:
         if self.min_support < 1:

@@ -25,13 +25,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphalgo import (
+    CentralityMetric,
     CentralityTable,
-    Direction,
+    centrality,
     centrality_ccdf,
     component_report,
-    degree_centrality,
     top_k,
-    weighted_pagerank,
 )
 from .hopgraph import GraphLevel, HopGraph, build_graph, has_moves, require_nodes
 from .hops import extract_all_hops
@@ -242,14 +241,10 @@ def write_top_k(
 
 
 def centrality_tables(graph: HopGraph, config: AnalysisConfig) -> list[CentralityTable]:
-    """The three standard tables, in a fixed metric order."""
+    """One table per CentralityMetric, in its order: in, out, PageRank."""
     if not graph.nodes:
         return []
-    return [
-        degree_centrality(graph, Direction.IN),
-        degree_centrality(graph, Direction.OUT),
-        weighted_pagerank(graph, config),
-    ]
+    return [centrality(graph, metric, config) for metric in CentralityMetric]
 
 
 def write_all_reports(

@@ -429,6 +429,10 @@ def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_suppor
         for name in ("src", "dst", "weight"):
             a, b = getattr(ours, name), getattr(theirs, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist() and not a.flags.writeable
+            assert not b.flags.writeable
+        # Given its own index, the graph keeps it and equals the built one.
+        given = HopGraph(graph.level, ours.nodes, graph.node_support, EdgeMap(ours), ours)
+        assert given == graph and given.index is ours and given.nodes == graph.nodes
 
 
 # --- edge keys built on read --------------------------------------------------

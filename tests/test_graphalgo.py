@@ -191,6 +191,17 @@ def test_not_converged_flag():
     assert table.iterations == 3
 
 
+def test_default_cap_converges_the_slowest_graph():
+    # A star whose leaves all link back has period 2: the uniform start's
+    # error shrinks by only 1 - teleport_prob a step, the slowest rate there
+    # is, so the default cap must cover the bound that rate gives.
+    g = make_graph(21, [(0, i, 1) for i in range(1, 21)] + [(i, 0, 1) for i in range(1, 21)])
+    table = weighted_pagerank(g, CFG)
+    assert table.converged and table.iterations > 100
+    bound = 1 + math.log(CFG.pagerank_tol / 2) / math.log(1 - CFG.teleport_prob)
+    assert CFG.pagerank_max_iter >= math.ceil(bound)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_pagerank_matches_dense_solve(seed):

@@ -11,6 +11,7 @@ organization listed twice, prefix titles and non-ASCII labels.
 """
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from itertools import chain, combinations
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -495,6 +497,21 @@ def test_empty_result_and_read_only_columns():
             a[0] = 1
     with pytest.raises(ValueError, match="analysis date"):
         extract_all_hops(stints, config("2015-06"))
+
+
+def test_hop_and_level_gain_tables_are_frozen():
+    cfg = config("2016-06", min_support=1)
+    p = UserProfile("u", month(0), frozenset("a"), 1, (JobRecord("t", "o", "i", month(1), month(5)),
+                                                       JobRecord("s", "p", "i", month(6), None)))
+    hops, _ = extract_all_hops([p], cfg)
+    records = level_gains(hops, CorpusIndex.build([p], cfg))
+    assert len(records) == 1
+    for table in (hops, HopTable.of(list(hops)), records, LevelGainTable.of(list(records))):
+        for f in dataclasses.fields(table):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(table, f.name, getattr(table, f.name))
+            value = getattr(table, f.name)
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable
 
 
 def count_constructions(monkeypatch, calls, *classes):
