@@ -206,11 +206,12 @@ class HopGraph:
 
     The node set is stored as a frozenset. Without an index, one is
     computed from the nodes and edges (GraphIndex.of); a given index must
-    be the index of the given nodes and edges. build_graph gives its
-    finished index and an EdgeMap over it as the edges, whose keys are
-    built on their first read. node_support and edges must not be mutated,
-    because every analytic and export reads the index. An edge whose
-    endpoint is not a node raises ValueError.
+    be the index of the given nodes and edges, and dataclasses.replace
+    copies it, so a copy with other nodes or edges needs index=None.
+    build_graph gives its finished index and an EdgeMap over it as the
+    edges, whose keys are built on their first read. node_support and
+    edges must not be mutated, because every analytic and export reads the
+    index. An edge whose endpoint is not a node raises ValueError.
     """
 
     level: GraphLevel
