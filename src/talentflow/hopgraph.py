@@ -204,14 +204,14 @@ class EdgeMap(Mapping):
 class HopGraph:
     """A built graph, frozen, with its integer index (see GraphIndex).
 
-    The node set is stored as a frozenset. Without an index, one is
-    computed from the nodes and edges (GraphIndex.of); a given index must
-    be the index of the given nodes and edges, and dataclasses.replace
-    copies it, so a copy with other nodes or edges needs index=None.
-    build_graph gives its finished index and an EdgeMap over it as the
-    edges, whose keys are built on their first read. node_support and
-    edges must not be mutated, because every analytic and export reads the
-    index. An edge whose endpoint is not a node raises ValueError.
+    The node set is stored as a frozenset. A given index is kept only
+    with its own nodes and an EdgeMap over it as the edges, as build_graph
+    gives them; otherwise, or without an index, the index is computed from
+    the nodes and edges (GraphIndex.of). So dataclasses.replace with other
+    nodes or edges never keeps a stale index. An EdgeMap's keys are built
+    on their first read. node_support and edges must not be mutated,
+    because every analytic and export reads the index. An edge whose
+    endpoint is not a node raises ValueError.
     """
 
     level: GraphLevel
@@ -222,7 +222,12 @@ class HopGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
-        if self.index is None:
+        index = self.index
+        if not (
+            isinstance(self.edges, EdgeMap)
+            and self.edges.index is index
+            and self.nodes == frozenset(index.nodes)
+        ):
             object.__setattr__(self, "index", GraphIndex.of(self.nodes, self.edges))
 
     @property

@@ -433,6 +433,10 @@ def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_suppor
         # Given its own index, the graph keeps it and equals the built one.
         given = HopGraph(graph.level, ours.nodes, graph.node_support, EdgeMap(ours), ours)
         assert given == graph and given.index is ours and given.nodes == graph.nodes
+        # A copy with other nodes is indexed from them, not given the old index.
+        extra = JobKey("~", "~") if graph.level is GraphLevel.JOB else "~"
+        wider = replace(given, nodes=graph.nodes | {extra})
+        assert wider.index.nodes == tuple(sorted(wider.nodes)) and extra in wider.index.nodes
 
 
 # --- edge keys built on read --------------------------------------------------
@@ -474,6 +478,8 @@ def test_edge_keys_read_as_the_eager_ones(tmp_path_factory, seed, level, min_sup
     if edges:
         fewer = dict(list(edges.items())[1:])
         assert replace(graph, edges=fewer) != graph and graph.edges != fewer
+        copy = replace(graph, edges=fewer)  # indexed from its own edges
+        assert copy.index.edges == tuple(fewer) and copy.index.weight.tolist() == list(fewer.values())
     path = export_graph(graph, ExportFormat.CSV_EDGELIST, tmp_path_factory.mktemp("e") / "g.csv")
     back = import_graph_csv(path, level)
     assert back.edges == graph.edges and graph.edges == back.edges
