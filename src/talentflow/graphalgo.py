@@ -100,7 +100,8 @@ def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTabl
     (so scaling all weights leaves scores unchanged); dangling nodes
     redistribute their full rank uniformly; teleportation mixes in a uniform
     jump with probability config.teleport_prob. Iterates until the L1 change
-    drops below config.pagerank_tol or max_iter is hit (converged=False).
+    drops below config.pagerank_tol or config.pagerank_iteration_cap is hit
+    (converged=False), which by default it never is.
     """
     idx = graph.index
     n = len(idx.nodes)
@@ -116,7 +117,7 @@ def weighted_pagerank(graph: HopGraph, config: AnalysisConfig) -> CentralityTabl
     rank = np.full(n, 1.0 / n)
     iterations = 0
     converged = False
-    for iterations in range(1, config.pagerank_max_iter + 1):
+    for iterations in range(1, config.pagerank_iteration_cap + 1):
         flow = np.bincount(dst, weights=prob * rank[src], minlength=n)
         dangling_mass = rank[dangling].sum()
         new_rank = (1.0 - teleport) * (flow + dangling_mass / n) + teleport / n

@@ -23,14 +23,15 @@ node keys in sorted order, so it counts edge weights with one sort of
 source_id * n + target_id (distinct movers: with one more sort of
 pair_rank * n_users + user code, where pair_rank ranks the distinct pairs),
 prunes, and renumbers the surviving ids with a cumulative sum, so the
-edges come out already in index order. It hands HopGraph that index with
-the index's nodes and an EdgeMap over it as the edges. GraphIndex.edges,
-the key tuples, and the EdgeMap's dict are made on their first read and
-kept; the edge map's length is the index's edge count, so building,
-analysing and exporting a graph makes no per-edge key object. A graph
-given key dicts and no index (HopGraph(level, nodes, support, edges),
-import_graph_csv) is indexed by GraphIndex.of, which maps the keys to ids
-and hands them to the same array constructor, GraphIndex.of_ids.
+edges come out already in index order. It hands HopGraph the index's
+nodes and an EdgeMap over the index as the edges, and the graph takes its
+index from that map. GraphIndex.edges, the key tuples, and the EdgeMap's
+dict are made on their first read and kept; the edge map's length is the
+index's edge count, so building, analysing and exporting a graph makes no
+per-edge key object. A graph given key dicts (HopGraph(level, nodes,
+support, edges), import_graph_csv) is indexed by GraphIndex.of, which maps
+the keys to ids and hands them to the same array constructor,
+GraphIndex.of_ids.
 
 Every analytic in graphalgo and every export reads the index, so none sorts
 or re-keys the graph again. Exports render and quote each node label once,
@@ -204,31 +205,29 @@ class EdgeMap(Mapping):
 class HopGraph:
     """A built graph, frozen, with its integer index (see GraphIndex).
 
-    The node set is stored as a frozenset. A given index is kept only
-    with its own nodes and an EdgeMap over it as the edges, as build_graph
-    gives them; otherwise, or without an index, the index is computed from
-    the nodes and edges (GraphIndex.of). So dataclasses.replace with other
-    nodes or edges never keeps a stale index. An EdgeMap's keys are built
-    on their first read. node_support and edges must not be mutated,
-    because every analytic and export reads the index. An edge whose
-    endpoint is not a node raises ValueError.
+    The node set is stored as a frozenset. Edges given as an EdgeMap
+    whose index has exactly these nodes, as build_graph gives them, lend
+    the graph that index; any other edges, or other nodes, are indexed by
+    GraphIndex.of. So a dataclasses.replace copy with other nodes or edges
+    never keeps a stale index. An EdgeMap's keys are built on their first
+    read. node_support and edges must not be mutated, because every
+    analytic and export reads the index. An edge whose endpoint is not a
+    node raises ValueError.
     """
 
     level: GraphLevel
     nodes: frozenset[NodeKey]
     node_support: dict[NodeKey, int]
     edges: Mapping[tuple[NodeKey, NodeKey], int]
-    index: GraphIndex | None = field(default=None, repr=False, compare=False)
+    index: GraphIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        index = self.index
-        if not (
-            isinstance(self.edges, EdgeMap)
-            and self.edges.index is index
-            and self.nodes == frozenset(index.nodes)
-        ):
-            object.__setattr__(self, "index", GraphIndex.of(self.nodes, self.edges))
+        nodes = frozenset(self.nodes)
+        object.__setattr__(self, "nodes", nodes)
+        index = self.edges.index if isinstance(self.edges, EdgeMap) else None
+        if index is None or len(index.nodes) != len(nodes) or not nodes.issuperset(index.nodes):
+            index = GraphIndex.of(nodes, self.edges)
+        object.__setattr__(self, "index", index)
 
     @property
     def self_loop_mass(self) -> int:
@@ -304,8 +303,7 @@ def build_graph(
     ids = np.cumsum(kept) - 1  # monotone, so the edges stay in (src, dst) order
     nodes = tuple(map(keys.__getitem__, np.flatnonzero(kept).tolist()))
     index = GraphIndex.of_ids(nodes, ids[u[live]], ids[v[live]], weight[live])
-    support = dict(zip(nodes, support[kept].tolist()))
-    return HopGraph(level, nodes, support, EdgeMap(index), index)
+    return HopGraph(level, nodes, dict(zip(nodes, support[kept].tolist())), EdgeMap(index))
 
 
 def has_moves(hops: HopTable, level: GraphLevel) -> bool:

@@ -27,6 +27,7 @@ Every function that takes profiles also takes a StintTable in their place.
 
 from __future__ import annotations
 
+import math
 import re
 import string
 from collections.abc import Callable, Collection, Mapping, Sequence
@@ -752,11 +753,7 @@ class AnalysisConfig:
     cohort_min_support: int = 100
     teleport_prob: float = 0.15
     pagerank_tol: float = 1e-8
-    # Each PageRank step is an L1 contraction by 1 - teleport_prob, so the
-    # change after step k is at most 2 * (1 - teleport_prob) ** (k - 1), and
-    # ceil(1 + ln(tol / 2) / ln(1 - teleport_prob)) = 119 steps bring it
-    # below tol at the defaults: PageRank converges by construction.
-    pagerank_max_iter: int = 119
+    pagerank_max_iter: int | None = None  # None: the bound of pagerank_iteration_cap
 
     def __post_init__(self) -> None:
         if self.min_support < 1:
@@ -769,5 +766,19 @@ class AnalysisConfig:
             raise ValueError("teleport_prob must lie in (0, 1)")
         if self.pagerank_tol <= 0.0:
             raise ValueError("pagerank_tol must be positive")
-        if self.pagerank_max_iter < 1:
+        if self.pagerank_max_iter is not None and self.pagerank_max_iter < 1:
             raise ValueError("pagerank_max_iter must be a positive integer")
+
+    @property
+    def pagerank_iteration_cap(self) -> int:
+        """pagerank_max_iter if set, else the steps that make PageRank converge.
+
+        Each PageRank step is an L1 contraction by 1 - teleport_prob, so the
+        change after step k is at most 2 * (1 - teleport_prob) ** (k - 1):
+        ceil(1 + ln(tol / 2) / ln(1 - teleport_prob)) steps bring it below
+        pagerank_tol (119 at the defaults).
+        """
+        if self.pagerank_max_iter is not None:
+            return self.pagerank_max_iter
+        steps = 1 + math.log(self.pagerank_tol / 2) / math.log(1 - self.teleport_prob)
+        return max(1, math.ceil(steps))

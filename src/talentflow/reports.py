@@ -259,7 +259,8 @@ def write_all_reports(
     profiles is a ProfileTable or UserProfile objects. The active profiles'
     stints are read once, into one StintTable that every stage shares; its
     stint counts are added to drops when given. The graph levels whose
-    PageRank hit pagerank_max_iter are appended to unconverged when given.
+    PageRank hit the config's pagerank_iteration_cap are appended to
+    unconverged when given.
     Raises ValueError, before writing anything, when no profile is active
     and when min_support pruning removes every node of a graph level that
     has moves.

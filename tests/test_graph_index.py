@@ -95,7 +95,7 @@ def reference_pagerank(graph, cfg):
     rank = np.full(n, 1.0 / n)
     iterations = 0
     converged = False
-    for iterations in range(1, cfg.pagerank_max_iter + 1):
+    for iterations in range(1, cfg.pagerank_iteration_cap + 1):
         flow = np.bincount(dst, weights=prob * rank[src], minlength=n) if len(edges) else np.zeros(n)
         dangling_mass = rank[dangling].sum()
         new_rank = (1.0 - teleport) * (flow + dangling_mass / n) + teleport / n
@@ -422,16 +422,17 @@ def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_suppor
     assert any(g.edges for g in built)
     for graph in built:
         # The same graph from its key dicts, indexed by GraphIndex.of.
-        keyed = HopGraph(graph.level, graph.nodes, graph.node_support, graph.edges)
+        keyed = HopGraph(graph.level, graph.nodes, graph.node_support, dict(graph.edges))
         assert keyed == graph
         ours, theirs = graph.index, keyed.index
+        assert theirs is not ours
         assert (ours.nodes, ours.edges) == (theirs.nodes, theirs.edges)
         for name in ("src", "dst", "weight"):
             a, b = getattr(ours, name), getattr(theirs, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist() and not a.flags.writeable
             assert not b.flags.writeable
-        # Given its own index, the graph keeps it and equals the built one.
-        given = HopGraph(graph.level, ours.nodes, graph.node_support, EdgeMap(ours), ours)
+        # Given an edge map over its own index, the graph keeps that index.
+        given = HopGraph(graph.level, ours.nodes, graph.node_support, EdgeMap(ours))
         assert given == graph and given.index is ours and given.nodes == graph.nodes
         # A copy with other nodes is indexed from them, not given the old index.
         extra = JobKey("~", "~") if graph.level is GraphLevel.JOB else "~"

@@ -194,12 +194,15 @@ def test_not_converged_flag():
 def test_default_cap_converges_the_slowest_graph():
     # A star whose leaves all link back has period 2: the uniform start's
     # error shrinks by only 1 - teleport_prob a step, the slowest rate there
-    # is, so the default cap must cover the bound that rate gives.
+    # is, so the default cap must cover the bound that rate gives, at any
+    # teleport probability.
     g = make_graph(21, [(0, i, 1) for i in range(1, 21)] + [(i, 0, 1) for i in range(1, 21)])
-    table = weighted_pagerank(g, CFG)
-    assert table.converged and table.iterations > 100
-    bound = 1 + math.log(CFG.pagerank_tol / 2) / math.log(1 - CFG.teleport_prob)
-    assert CFG.pagerank_max_iter >= math.ceil(bound)
+    for cfg in (CFG, config("2016-06", teleport_prob=0.05)):
+        table = weighted_pagerank(g, cfg)
+        assert table.converged and table.iterations > 100
+        bound = 1 + math.log(cfg.pagerank_tol / 2) / math.log(1 - cfg.teleport_prob)
+        assert cfg.pagerank_iteration_cap >= math.ceil(bound)
+    assert CFG.pagerank_iteration_cap == 119
 
 
 @given(st.integers(0, 2**32 - 1))
