@@ -243,12 +243,6 @@ class HopGraph:
         n = len(self.nodes)
         return len(self.edges) / (n * n) if n else 0.0
 
-    def sorted_nodes(self) -> list[NodeKey]:
-        return list(self.index.nodes)
-
-    def sorted_edges(self) -> list[tuple[tuple[NodeKey, NodeKey], int]]:
-        return list(zip(self.index.edges, self.index.weight.tolist()))
-
 
 def build_graph(
     hops: Iterable[Hop],

@@ -155,6 +155,13 @@ class JobRecord:
         return self.end if self.end is not None else curr_date
 
     def has_valid_period(self, curr_date: DateMonth) -> bool:
+        """Whether the stint does not end before it starts, an open end read as curr_date.
+
+        Object API, kept for callers that hold JobRecords: it is the period
+        test of usable_stints on one record, which the tests' object
+        reference of the stint rule (usable_jobs) and the acceptance checks
+        read. The pipeline itself applies usable_stints to columns.
+        """
         return months_between(self.start, self.end_or(curr_date)) >= 0
 
 

@@ -247,6 +247,12 @@ def centrality_tables(graph: HopGraph, config: AnalysisConfig) -> list[Centralit
     return [centrality(graph, metric, config) for metric in CentralityMetric]
 
 
+COHORT_CROSSES = (
+    ("work_exp_x_job_age", (CohortAxis.WORK_EXP, CohortAxis.JOB_AGE)),
+    ("work_exp_x_skill_count", (CohortAxis.WORK_EXP, CohortAxis.SKILL_COUNT)),
+)
+
+
 def write_all_reports(
     profiles: Iterable[UserProfile],
     config: AnalysisConfig,
@@ -264,6 +270,44 @@ def write_all_reports(
     Raises ValueError, before writing anything, when no profile is active
     and when min_support pruning removes every node of a graph level that
     has moves.
+
+    The stages run in the order of the files they write, and each
+    intermediate dies after its last reader. The stint table, the hops and
+    both graphs come first, so the refusals precede any write; then the
+    distributions, the cohort crosses over the corpus index, and the
+    promotion, level-gain and stay reports over the level gains. All of
+    those are gone before the centrality stage and the four graph
+    reports, which read only the two graphs. A LevelGainTable holds its
+    HopTable, that its StintTable, and that the active profiles, so none
+    of them is freed while the level gains live.
+    """
+    out_dir = Path(out_dir)
+    job_graph, org_graph, written = _write_stint_reports(profiles, config, out_dir, drops)
+    job_tables = centrality_tables(job_graph, config)
+    org_tables = centrality_tables(org_graph, config)
+    if unconverged is not None:
+        for level, tables in ((GraphLevel.JOB, job_tables), (GraphLevel.ORG, org_tables)):
+            if not all(t.converged for t in tables):
+                unconverged.append(level)
+    return written + [
+        write_graph_stats(
+            [("job", job_graph), ("org", org_graph)], out_dir / "graph_stats.csv"
+        ),
+        write_ccdfs(job_tables, out_dir / "centrality_ccdf_job.csv"),
+        write_top_k(job_tables, GraphLevel.JOB, out_dir / "top20_job.csv"),
+        write_top_k(org_tables, GraphLevel.ORG, out_dir / "top20_org.csv"),
+    ]
+
+
+def _write_stint_reports(
+    profiles: Iterable[UserProfile],
+    config: AnalysisConfig,
+    out_dir: Path,
+    drops: StintDrops | None,
+) -> tuple[HopGraph, HopGraph, list[Path]]:
+    """write_all_reports' refusals and its first five reports; returns both graphs.
+
+    Every table made here dies when it returns.
     """
     active = filter_active(profiles)
     if not len(active):
@@ -280,46 +324,21 @@ def write_all_reports(
     for level, graph in ((GraphLevel.JOB, job_graph), (GraphLevel.ORG, org_graph)):
         if has_moves(hops, level):
             require_nodes(graph)
-    index = CorpusIndex.build(stints, config)
 
-    crosses = [
-        (
-            "work_exp_x_job_age",
-            external_hop_fraction(
-                hops, [CohortAxis.WORK_EXP, CohortAxis.JOB_AGE], index, active
-            ),
-        ),
-        (
-            "work_exp_x_skill_count",
-            external_hop_fraction(
-                hops, [CohortAxis.WORK_EXP, CohortAxis.SKILL_COUNT], index, active
-            ),
-        ),
-    ]
-    records = level_gains(hops, index)
-    summary = promotion_summary(records)
-    stay_bins = promotion_by_stay(records, STAY_BIN_MONTHS, config)
-
-    job_tables = centrality_tables(job_graph, config)
-    org_tables = centrality_tables(org_graph, config)
-    if unconverged is not None:
-        for level, tables in ((GraphLevel.JOB, job_tables), (GraphLevel.ORG, org_tables)):
-            if not all(t.converged for t in tables):
-                unconverged.append(level)
-
-    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = [
-        write_distributions(stints, config, out_dir / "distributions.csv"),
-        write_cohorts(crosses, out_dir / "cohort_fractions.csv"),
-        write_promotion_table(summary, out_dir / "promotion_table.csv"),
+    written = [write_distributions(stints, config, out_dir / "distributions.csv")]
+    index = CorpusIndex.build(stints, config)
+    written.append(write_cohorts(
+        [(name, external_hop_fraction(hops, axes, index, active))
+         for name, axes in COHORT_CROSSES],
+        out_dir / "cohort_fractions.csv",
+    ))
+    records = level_gains(hops, index)
+    written += [
+        write_promotion_table(promotion_summary(records), out_dir / "promotion_table.csv"),
         write_level_gain_hist(records, out_dir / "level_gain_hist.csv"),
-        write_stay_analysis(stay_bins, out_dir / "stay_analysis.csv"),
-        write_graph_stats(
-            [("job", job_graph), ("org", org_graph)], out_dir / "graph_stats.csv"
+        write_stay_analysis(
+            promotion_by_stay(records, STAY_BIN_MONTHS, config), out_dir / "stay_analysis.csv"
         ),
-        write_ccdfs(job_tables, out_dir / "centrality_ccdf_job.csv"),
-        write_top_k(job_tables, GraphLevel.JOB, out_dir / "top20_job.csv"),
-        write_top_k(org_tables, GraphLevel.ORG, out_dir / "top20_org.csv"),
     ]
-    return written
+    return job_graph, org_graph, written

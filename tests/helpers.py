@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from talentflow.hopgraph import HopGraph, NodeKey
 from talentflow.model import AnalysisConfig, DateMonth, JobRecord, StintDrops, UserProfile
 
 
@@ -55,6 +56,16 @@ def usable_jobs(
                 drops.negative_experience_jobs += 1
     return usable
 
+
+
+def sorted_nodes(graph: HopGraph) -> list[NodeKey]:
+    """The graph's nodes in its index's order, which the tests hold to sorted order."""
+    return list(graph.index.nodes)
+
+
+def sorted_edges(graph: HopGraph) -> list[tuple[tuple[NodeKey, NodeKey], int]]:
+    """(edge, weight) pairs in the graph's index order, which the tests hold to sorted order."""
+    return list(zip(graph.index.edges, graph.index.weight.tolist()))
 
 def config(curr="2016-06", **kwargs) -> AnalysisConfig:
     return AnalysisConfig(curr_date=dm(curr), **kwargs)

@@ -398,10 +398,22 @@ def test_synth_cli_names_a_mistyped_spec_field(tmp_path, capsys):
     assert not (tmp_path / "c.jsonl").exists()
 
 
-def test_report_all_writes_nine_files(corpus, tmp_path):
+def test_report_all_writes_nine_files(corpus, tmp_path, capsys):
     out_dir = tmp_path / "reports"
     assert main(["report-all", "--input", str(corpus), "--out-dir", str(out_dir),
                  "--cohort-min-support", "20"]) == 0
+    # One path a line, in the order of the reports module's docstring.
+    assert capsys.readouterr().out.splitlines() == [str(out_dir / name) for name in [
+        "distributions.csv",
+        "cohort_fractions.csv",
+        "promotion_table.csv",
+        "level_gain_hist.csv",
+        "stay_analysis.csv",
+        "graph_stats.csv",
+        "centrality_ccdf_job.csv",
+        "top20_job.csv",
+        "top20_org.csv",
+    ]]
     names = sorted(p.name for p in out_dir.iterdir())
     assert names == [
         "centrality_ccdf_job.csv",

@@ -55,7 +55,7 @@ from talentflow.hops import extract_all_hops
 from talentflow.ingest import filter_active, ingest_profiles
 from talentflow.model import JobKey
 from talentflow.synthgen import GeneratorSpec, generate
-from helpers import config, counting, random_profile
+from helpers import config, counting, random_profile, sorted_edges, sorted_nodes
 
 CFG = config("2016-06", min_support=1)
 FEW_ITERATIONS = config("2016-06", min_support=1, pagerank_max_iter=3)
@@ -339,8 +339,8 @@ def assert_matches_references(graph, tmp_path, cfg=CFG):
     assert (report.scc_count, report.wcc_count) == (len(sccs), len(wccs))
     assert report.largest_scc_size == (len(sccs[0]) if sccs else 0)
     assert report.second_wcc_size == (len(wccs[1]) if len(wccs) > 1 else 0)
-    assert graph.sorted_nodes() == sorted(graph.nodes)
-    assert graph.sorted_edges() == sorted(graph.edges.items())
+    assert sorted_nodes(graph) == sorted(graph.nodes)
+    assert sorted_edges(graph) == sorted(graph.edges.items())
     for fmt, write in REFERENCE_WRITERS.items():
         got = export_graph(graph, fmt, tmp_path / f"got.{fmt.value}")
         write(graph, tmp_path / f"want.{fmt.value}")
@@ -471,7 +471,7 @@ def test_edge_keys_read_as_the_eager_ones(tmp_path_factory, seed, level, min_sup
     assert graph.edges == edges and edges == graph.edges
     assert list(graph.edges.items()) == list(edges.items())  # index order
     assert graph.edges is graph.edges and idx.edges is idx.edges
-    assert graph.sorted_edges() == list(edges.items())
+    assert sorted_edges(graph) == list(edges.items())
 
     keyed = HopGraph(level, graph.nodes, graph.node_support, edges)
     assert keyed == graph and graph == keyed and keyed.edges is edges

@@ -18,7 +18,7 @@ from talentflow.hopgraph import (
 )
 from talentflow.hops import Hop, HopKind, extract_all_hops
 from talentflow.model import JobKey
-from helpers import config, job, profile, random_profile
+from helpers import config, job, profile, random_profile, sorted_edges, sorted_nodes
 
 CFG1 = config("2016-06", min_support=1)
 
@@ -258,8 +258,8 @@ def test_job_nodes_order_by_title_then_industry(tmp_path):
         hop("analyst", "y", "tech", "analyst", "z", "fin"),
     ]
     g = build_graph(cycle, GraphLevel.JOB, CFG1)
-    assert g.sorted_nodes() == [a, b, c]
-    assert [e for e, _ in g.sorted_edges()] == [(a, c), (b, a), (c, b)]
+    assert sorted_nodes(g) == [a, b, c]
+    assert [e for e, _ in sorted_edges(g)] == [(a, c), (b, a), (c, b)]
     for table in (degree_centrality(g, Direction.IN), weighted_pagerank(g, CFG1)):
         assert len(set(table.scores.values())) == 1
         assert top_k(table, 3) == [a, b, c]

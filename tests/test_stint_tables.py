@@ -12,6 +12,7 @@ organization listed twice, prefix titles and non-ASCII labels.
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -550,6 +551,39 @@ def test_graph_sweep_support_reads_the_hops_own_stints(tmp_path, monkeypatch):
         assert build_graph(hops, level, cfg, profiles=active) == want[level]
     assert calls == Counter()
 
+
+
+def test_write_all_reports_frees_every_table_before_the_graph_reports(tmp_path, monkeypatch):
+    # The graph reports run last, with only the graphs alive: the stint,
+    # hop, corpus-index and level-gain tables die with their last reader.
+    # With the cycle collector off, only reference counts free them, as
+    # they must for the peak to fall; tables alive before the call are not
+    # counted.
+    spec = GeneratorSpec(seed=5, n_users=300)
+    generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
+    profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
+    tables = (StintTable, HopTable, LevelGainTable, CorpusIndex)
+
+    def live_tables():
+        return [o for o in gc.get_objects() if isinstance(o, tables)]
+
+    before = {id(o) for o in live_tables()}
+    seen = []
+    write_graph_stats = reports.write_graph_stats
+
+    def checking(*args, **kwargs):
+        seen.append([type(o).__name__ for o in live_tables() if id(o) not in before])
+        return write_graph_stats(*args, **kwargs)
+
+    monkeypatch.setattr(reports, "write_graph_stats", checking)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        reports.write_all_reports(profiles, config(str(spec.curr_date)), tmp_path / "out")
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [[]]
 
 NUMPY_MA_PROBE = """
 import sys, tempfile
