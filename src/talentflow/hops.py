@@ -10,7 +10,8 @@ counted more than once per transition.
 
 Hops are derived from a StintTable in one pass: a stable sort of all stints
 by (user, start, end, code of the (title, organization) key, which the
-table numbers in sorted order) and a comparison of neighbouring rows. The
+table numbers in sorted order), packed into one int64 key by
+model.sort_order, and a comparison of neighbouring rows. The
 result is a HopTable, integer columns that point into the stint table; it
 is also a read-only sequence of Hop objects, each built only when it is
 read. Functions that take hops accept the table or any iterable of Hop
@@ -35,6 +36,7 @@ from .model import (
     UserProfile,
     months_between,
     read_only,
+    sort_order,
 )
 
 
@@ -126,9 +128,9 @@ class HopTable(RowViews):
     def of_stints(cls, stints: StintTable) -> "HopTable":
         """Every user's hops, users in table order, each user's in time order."""
         # Org key codes ascend as (title, organization) sorts, so they break
-        # ties the way the (start, end, title, organization) order does;
-        # lexsort is stable, so equal stints keep their listing order.
-        order = np.lexsort((stints.org_key, stints.end, stints.start, stints.user))
+        # ties the way the (start, end, title, organization) order does; the
+        # sort is stable, so equal stints keep their listing order.
+        order = sort_order(stints.user, stints.start, stints.end, stints.org_key)
         a, b = order[:-1], order[1:]
         is_hop = (
             (stints.user[a] == stints.user[b])

@@ -78,6 +78,7 @@ from .model import (
     label_ranks,
     normalize_label,
     run_starts,
+    sort_order,
 )
 
 REASON_MALFORMED = "MALFORMED"
@@ -340,7 +341,7 @@ def _repair_industries(
     org, ind = organization[order[first]], industry[order[first]]
     # Each organization's pairs by most votes, then smallest label: the
     # first of its run wins.
-    best = np.lexsort((label_ranks(labels)[ind], -votes, org))
+    best = sort_order(org, -votes, label_ranks(labels)[ind], stable=False)
     best = best[run_starts(org[best])]
     canonical = np.zeros(len(labels), np.int64)
     canonical[org[best]] = ind[best]

@@ -49,8 +49,8 @@ from .model import (
     RowViews,
     StintTable,
     UserProfile,
+    cell_counts,
     distinct_counts,
-    groups,
     months_between,
     read_only,
     work_experience_months,
@@ -433,8 +433,15 @@ def _user_grads(
     (NO_DATE without one), and whether the user's id is among profiles.
 
     Where an id occurs twice in a ProfileTable, the later profile counts,
-    as in a dict built from it.
+    as in a dict built from it. The stint table's own source is read as
+    columns: every user is among its profiles.
     """
+    if profiles is stints.source:
+        # Equal ids share a code; each code's last row is the later profile.
+        code = profiles.user_code
+        latest = np.zeros(int(code.max(initial=-1)) + 1, np.intp)
+        np.maximum.at(latest, code, np.arange(len(code)))
+        return profiles.grad[latest[code]], np.ones(len(code), bool)
     if isinstance(profiles, ProfileTable):
         by_id = dict(zip(profiles.user_id, profiles.grad.tolist()))
         grads = [by_id.get(u) for u in stints.user_ids]
@@ -473,12 +480,8 @@ def external_hop_fraction(
     rows = np.flatnonzero(keep)
     # With no axes, one all-zero column puts every hop in the cell ().
     columns = [k[rows] for k in bins] or [np.zeros(len(rows), np.int64)]
-    order, first, support = groups(*columns)
-    external = (
-        np.add.reduceat(table.external[rows][order].astype(np.int64), first)
-        if len(rows) else first
-    )
-    cells = zip(*(k[order[first]].tolist() for k in columns))
+    cell_keys, support, external = cell_counts(*columns, mask=table.external[rows])
+    cells = zip(*(k.tolist() for k in cell_keys))
 
     cohorts: dict[tuple[CohortSpec, ...], CohortCell] = {}
     width = index.config.group_bin_width_years
@@ -529,13 +532,11 @@ def promotion_by_stay(
     # "external" sorts before "internal", so external bins come first.
     stay_bin = table.stay // bin_width_months
     internal = ~table.external
-    order, first, sizes = groups(stay_bin, internal)
-    promoted = (table.label == LABELS.index(LevelGainLabel.PROMOTION)).astype(np.int64)
-    promotions = np.add.reduceat(promoted[order], first)
-    rep = order[first]
+    promoted = table.label == LABELS.index(LevelGainLabel.PROMOTION)
+    (k_bin, k_internal), sizes, promotions = cell_counts(stay_bin, internal, mask=promoted)
     bins = []
     for k, is_internal, n, promos in zip(
-        stay_bin[rep].tolist(), internal[rep].tolist(), sizes.tolist(), promotions.tolist()
+        k_bin.tolist(), k_internal.tolist(), sizes.tolist(), promotions.tolist()
     ):
         suppressed = n < config.cohort_min_support
         bins.append(

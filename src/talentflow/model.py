@@ -717,15 +717,60 @@ def run_starts(ordered: np.ndarray) -> np.ndarray:
     return np.flatnonzero(new)
 
 
+def _spans(columns: Sequence[np.ndarray]) -> tuple[list[int], list[int]] | None:
+    """Each integer or bool column's minimum and span, max - min + 1, when the
+    product of the spans is below 2**63, so that _pack fits in one int64;
+    None otherwise, or for empty columns."""
+    if not len(columns[0]):
+        return None
+    lows, spans, size = [], [], 1
+    for c in columns:
+        lo, hi = int(c.min()), int(c.max())
+        lows.append(lo)
+        spans.append(hi - lo + 1)
+        size *= hi - lo + 1
+    return (lows, spans) if size < 2**63 else None
+
+
+def _pack(columns: Sequence[np.ndarray], lows: list[int], spans: list[int]) -> np.ndarray:
+    """One int64 per row that orders and equals as the rows' value tuples do."""
+    key = np.zeros(len(columns[0]), np.int64)
+    for c, lo, span in zip(columns, lows, spans):
+        # In place, so no temporary; a step that wraps is undone by the next.
+        key *= span
+        key += c
+        key -= lo
+    return key
+
+
+def sort_order(*columns: np.ndarray, stable: bool = True) -> np.ndarray:
+    """The rows in the order np.lexsort(columns[::-1]) gives: by the first
+    column, ties by the next, and so on, equal rows in row order.
+
+    Two or more integer or bool columns are packed into one int64 key
+    (_pack) and argsorted, which costs a fraction of lexsort; a stable sort
+    also runs faster on rows already in runs. Columns whose spans multiply to
+    2**63 or more fall back to lexsort. With stable=False equal rows come in
+    any order.
+    """
+    if len(columns) == 1:
+        key = columns[0]
+    elif (packing := _spans(columns)) is not None:
+        key = _pack(columns, *packing)
+    else:
+        return np.lexsort(columns[::-1])
+    return np.argsort(key, kind="stable" if stable else None)
+
+
 def groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows grouped by equal values in every column, groups in ascending order.
 
     Returns (order, first, size): the row indices in group order, where each
-    group starts in order, and each group's row count. Sorting stands in for
-    np.unique, which imports numpy.ma on its first call (about 2 MB of peak
-    memory).
+    group starts in order, and each group's row count. Rows within a group
+    come in any order. One sort_order stands in for np.unique, which imports
+    numpy.ma on its first call (about 2 MB of peak memory).
     """
-    order = np.lexsort(columns[::-1])
+    order = sort_order(*columns, stable=False)
     new = np.zeros(len(order), bool)
     new[:1] = True
     for c in columns:
@@ -733,6 +778,39 @@ def groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         new[1:] |= ordered[1:] != ordered[:-1]
     first = np.flatnonzero(new)
     return order, first, np.diff(np.append(first, len(order)))
+
+
+def cell_counts(
+    *columns: np.ndarray, mask: np.ndarray | None = None
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
+    """The occupied cells of the rows' value tuples, in ascending order, and
+    how many rows fall in each.
+
+    Returns (cells, count, masked): cells holds per column each cell's value,
+    count each cell's row count and masked, given a bool mask over the rows,
+    each cell's count of rows where it is set (else None). When the packed
+    key spans no more values than there are rows, one bincount over it counts
+    the cells, so nothing larger than the rows is allocated; wider spans are
+    grouped by sorting (groups).
+    """
+    packing = _spans(columns)
+    if packing is not None and math.prod(packing[1]) <= len(columns[0]):
+        lows, spans = packing
+        key = _pack(columns, lows, spans)
+        count = np.bincount(key)
+        occupied = np.flatnonzero(count)
+        masked = None if mask is None else np.bincount(key[mask], minlength=len(count))[occupied]
+        cells = []
+        rest = occupied
+        for c, lo, span in zip(columns[::-1], lows[::-1], spans[::-1]):
+            rest, offset = np.divmod(rest, span)
+            cells.append((offset + lo).astype(c.dtype))
+        return cells[::-1], count[occupied], masked
+    order, first, count = groups(*columns)
+    masked = None
+    if mask is not None:
+        masked = np.add.reduceat(mask[order].astype(np.int64), first) if len(first) else count
+    return [c[order[first]] for c in columns], count, masked
 
 
 def distinct_counts(item: np.ndarray, who: np.ndarray, n_items: int) -> np.ndarray:

@@ -48,7 +48,7 @@ from .metrics import (
     promotion_by_stay,
     promotion_summary,
 )
-from .model import AnalysisConfig, StintDrops, StintTable, UserProfile, groups, year_bins
+from .model import AnalysisConfig, StintDrops, StintTable, UserProfile, cell_counts, year_bins
 
 TOP_K = 20
 STAY_BIN_MONTHS = 12
@@ -78,11 +78,8 @@ def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> P
 
 def _histogram(bins: np.ndarray, width: float) -> list[tuple[float, float, int]]:
     """(lower, upper, count) per occupied bin k of [k*width, (k+1)*width), k ascending."""
-    order, first, sizes = groups(bins)
-    return [
-        (k * width, (k + 1) * width, n)
-        for k, n in zip(bins[order[first]].tolist(), sizes.tolist())
-    ]
+    (occupied,), sizes, _ = cell_counts(bins)
+    return [(k * width, (k + 1) * width, n) for k, n in zip(occupied.tolist(), sizes.tolist())]
 
 
 def write_distributions(
@@ -157,12 +154,11 @@ def write_level_gain_hist(records: Iterable[LevelGainRecord], path: Path) -> Pat
     k = np.floor_divide(table.gain, GAIN_BIN_MONTHS).astype(np.int64)
     # "external" sorts before "internal", so external rows come first.
     internal = ~table.external
-    order, first, sizes = groups(internal, k)
-    rep = order[first]
+    (kinds, k_bins), sizes, _ = cell_counts(internal, k)
     rows = [
         ["internal" if is_internal else "external", b * GAIN_BIN_MONTHS,
          (b + 1) * GAIN_BIN_MONTHS, n]
-        for is_internal, b, n in zip(internal[rep].tolist(), k[rep].tolist(), sizes.tolist())
+        for is_internal, b, n in zip(kinds.tolist(), k_bins.tolist(), sizes.tolist())
     ]
     return write_rows(
         path, ["kind", "bin_lower_months", "bin_upper_months", "count"], rows

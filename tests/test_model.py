@@ -1,7 +1,11 @@
+import ast
 import random
 import re
 import string
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,12 @@ from talentflow.model import (
     InvalidLabelError,
     JobKey,
     OrgJobKey,
+    cell_counts,
     distinct_counts,
+    groups,
     months_between,
     normalize_label,
+    sort_order,
 )
 from helpers import dm, profile, job
 
@@ -176,3 +183,96 @@ def test_distinct_counts_equals_a_set_count(n_items, pairs):
     who = np.array([w for _, w in pairs], dtype=np.intp)
     want = [len({w for i, w in pairs if i == k}) for k in range(n_items)]
     assert distinct_counts(item, who, n_items).tolist() == want
+
+
+# --- sorting and counting by packed keys ---------------------------------------
+
+int64s = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def key_columns(draw, max_columns=4):
+    """1-4 equal-length int64 or bool columns, empty ones and spans whose
+    product passes 2**63 included."""
+    n = draw(st.integers(0, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, max_columns))):
+        values = draw(st.sampled_from([
+            st.booleans(), st.integers(-3, 3), st.integers(-(10**6), 10**6), int64s,
+        ]))
+        column = draw(st.lists(values, min_size=n, max_size=n))
+        columns.append(np.array(column, dtype=bool if values is st.booleans() else np.int64))
+    return columns
+
+
+def row_tuples(columns):
+    return list(zip(*(c.tolist() for c in columns)))
+
+
+@given(key_columns())
+def test_sort_order_is_lexsort(columns):
+    assert sort_order(*columns).tolist() == np.lexsort(columns[::-1]).tolist()
+    rows = row_tuples(columns)
+    unstable = sort_order(*columns, stable=False).tolist()
+    assert sorted(unstable) == list(range(len(rows)))
+    assert [rows[i] for i in unstable] == sorted(rows)
+
+
+def test_sort_order_falls_back_when_spans_pass_2_63():
+    wide = np.array([-(2**62), 2**62, 0, 2**62], np.int64)
+    flags = np.array([True, False, True, False])
+    assert sort_order(wide, flags).tolist() == np.lexsort((flags, wide)).tolist() == [0, 2, 1, 3]
+    assert sort_order(np.zeros(0, np.int64), np.zeros(0, bool)).tolist() == []
+
+
+@given(key_columns())
+def test_groups_partition_as_sorted_tuples(columns):
+    rows = row_tuples(columns)
+    order, first, size = groups(*columns)
+    bounds = np.append(first, len(order)).tolist()
+    got = [sorted(order[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    want = [[i for i, r in enumerate(rows) if r == key] for key in sorted(set(rows))]
+    assert got == want
+    assert size.tolist() == list(map(len, want))
+
+
+@given(key_columns(max_columns=3), st.data())
+def test_cell_counts_equal_a_counter(columns, data):
+    rows = row_tuples(columns)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))), bool)
+    want = Counter(rows)
+    want_masked = Counter(r for r, m in zip(rows, mask.tolist()) if m)
+    cells, count, masked = cell_counts(*columns)
+    assert masked is None
+    assert row_tuples(cells) == sorted(want)
+    assert [c.dtype for c in cells] == [c.dtype for c in columns]
+    assert count.tolist() == [want[r] for r in sorted(want)]
+    cells, count, masked = cell_counts(*columns, mask=mask)
+    assert masked.tolist() == [want_masked[r] for r in sorted(want)]
+
+
+def test_cell_counts_allocate_no_more_than_the_rows():
+    # A span of 2**40 values over two rows counts by sorting, not by a bincount of 8 TB.
+    far = np.array([0, 2**40, 0], np.int64)
+    tracemalloc.start()
+    try:
+        cells, count, masked = cell_counts(far, mask=np.array([True, False, False]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cells[0].tolist(), count.tolist(), masked.tolist()) == ([0, 2**40], [2, 1], [1, 0])
+    assert peak < 64 * 1024
+
+
+def test_lexsort_is_called_only_by_sort_order():
+    # One sort idiom: every multi-key sort goes through model.sort_order.
+    src = Path(__file__).resolve().parent.parent / "src" / "talentflow"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Attribute) and node.attr == "lexsort":
+                        callers.append((path.name, fn.name))
+    assert callers == [("model.py", "sort_order")]

@@ -340,6 +340,9 @@ def test_columnar_stages_equal_the_references(profiles, cfg, data):
         want = ref_external_hop_fraction(want_hops, axes, index, by_id)
         assert external_hop_fraction(hops, axes, index, by_id) == want
         assert external_hop_fraction(want_hops, axes, index, by_id) == want
+        # The stint table's own source, read as columns: a repeated id's later profile counts.
+        want = ref_external_hop_fraction(want_hops, axes, index, {p.user_id: p for p in profiles})
+        assert external_hop_fraction(hops, axes, index, stints.source) == want
 
     want_records = ref_level_gains(want_hops, index)
     for got_records in (level_gains(hops, index), level_gains(want_hops, index)):
