@@ -74,7 +74,7 @@ from .model import (
     ProfileColumns,
     ProfileTable,
     UserProfile,
-    groups,
+    cell_counts,
     label_ranks,
     normalize_label,
     run_starts,
@@ -337,8 +337,7 @@ def _repair_industries(
     industry per organization wins, ties to the lexicographically smallest
     label. Returns the rewritten industry column.
     """
-    order, first, votes = groups(organization, industry)
-    org, ind = organization[order[first]], industry[order[first]]
+    (org, ind), votes, _ = cell_counts(organization, industry)
     # Each organization's pairs by most votes, then smallest label: the
     # first of its run wins.
     best = sort_order(org, -votes, label_ranks(labels)[ind], stable=False)
