@@ -21,11 +21,13 @@ than the cohort minimum support are suppressed as unreliable.
 Every aggregate is an array pass over a StintTable or a HopTable:
 CorpusIndex.build takes the profiles or their table, and the functions
 that take hops or level-gain records accept the tables or plain object
-lists (HopTable.of, LevelGainTable.of). A mean stays an exact integer sum
-over a count until one division, so it is the same float Python's
-sum / len gives; bins use float64 floor division as the scalar definitions
-above do. Only per-key lookups (the CorpusIndex dicts, job_level) are
-dicts, one entry per distinct key.
+lists (HopTable.of, LevelGainTable.of). The per-user cohort values,
+graduation month and skill count, are columns of the ProfileTable given
+as profiles_by_id; each hop's user is joined to one row of it once. A
+mean stays an exact integer sum over a count until one division, so it is
+the same float Python's sum / len gives; bins use float64 floor division
+as the scalar definitions above do. Only per-key lookups (the CorpusIndex
+dicts, job_level) are dicts, one entry per distinct key.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ import numpy as np
 
 from .hops import Hop, HopKind, HopTable
 from .model import (
-    NO_DATE,
     NO_EXPERIENCE,
     AnalysisConfig,
     DateMonth,
@@ -98,7 +99,6 @@ class CorpusIndex:
     age_by_jobkey: dict[JobKey, float]
     wk_exp_by_orgjob: dict[OrgJobKey, float]
     support_by_orgjob: dict[OrgJobKey, int]
-    skill_count_by_user: dict[str, int]
     negative_experience_jobs: int
     future_jobs: int
     invalid_period_jobs: int
@@ -126,7 +126,6 @@ class CorpusIndex:
             support_by_orgjob={
                 stints.org_keys[k]: n for k, n in enumerate(support.tolist()) if n
             },
-            skill_count_by_user=dict(zip(stints.user_ids, stints.skill_count.tolist())),
             negative_experience_jobs=stints.drops.negative_experience_jobs,
             future_jobs=stints.drops.future_jobs,
             invalid_period_jobs=stints.drops.invalid_period_jobs,
@@ -149,13 +148,11 @@ def _means(keys: Sequence, codes: np.ndarray, values: np.ndarray) -> dict:
     }
 
 
-def _known(
-    values: Sequence, missing: float = 0.0, dtype: type = np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optional per-key values as (value array, known mask); None reads missing."""
+def _known(values: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Optional per-key values as (float64 array, known mask); None reads 0."""
     n = len(values)
     known = np.fromiter((v is not None for v in values), bool, n)
-    return np.fromiter((missing if v is None else v for v in values), dtype, n), known
+    return np.fromiter((0.0 if v is None else v for v in values), np.float64, n), known
 
 
 def work_experience_of_jobkey(key: JobKey, index: CorpusIndex) -> float | None:
@@ -400,59 +397,39 @@ class CohortStats:
 
 
 def _axis_bins(
-    axis: CohortAxis, table: HopTable, index: CorpusIndex, grad: np.ndarray
+    axis: CohortAxis, stints: StintTable, src: np.ndarray, index: CorpusIndex,
+    profiles: ProfileTable, row: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per hop, k of its bin [k*w, (k+1)*w) on one axis, and where k is defined.
 
     The time axes bin by w whole years; skill counts reuse the same width.
-    grad holds each hop-table user's graduation month, or NO_DATE.
+    Hop i leaves stint src[i] of stints; row[i] is its user's row in profiles.
     """
     width = index.config.group_bin_width_years
-    stints = table.stints
-    user = table.user
     if axis is CohortAxis.SKILL_COUNT:
-        skills = index.skill_count_by_user
-        per_user = np.fromiter(
-            (int(skills.get(u, 0) // width) for u in stints.user_ids), np.int64,
-            len(stints.user_ids),
-        )
-        return per_user[user], np.ones(len(table), bool)
+        return profiles.skill_count[row] // width, np.ones(len(row), bool)
     if axis is CohortAxis.WORK_EXP:
-        end = stints.ends_at(index.config.curr_date)[table.src]
-        months = work_experience_months(end, grad[user])
+        end = stints.ends_at(index.config.curr_date)[src]
+        months = work_experience_months(end, profiles.grad[row])
         return year_bins(months, width), months != NO_EXPERIENCE
     ages, known = _known([job_age_of_jobkey(key, index) for key in stints.job_keys])
-    key = stints.job_key[table.src]
+    key = stints.job_key[src]
     return year_bins(ages, width)[key], known[key]
 
 
-def _user_grads(
-    stints: StintTable, profiles: Mapping[str, UserProfile] | ProfileTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per user of the stint table: the graduation month of its profile
-    (NO_DATE without one), and whether the user's id is among profiles.
-
-    Where an id occurs twice in a ProfileTable, the later profile counts,
-    as in a dict built from it. The stint table's own source is read as
-    columns: every user is among its profiles.
-    """
+def _profile_rows(stints: StintTable, profiles: ProfileTable) -> np.ndarray:
+    """Per user of the stint table, the row in profiles of the later
+    profile with that user's id, or -1 where no profile has it."""
     if profiles is stints.source:
         # Equal ids share a code; each code's last row is the later profile.
         code = profiles.user_code
         latest = np.zeros(int(code.max(initial=-1)) + 1, np.intp)
         np.maximum.at(latest, code, np.arange(len(code)))
-        return profiles.grad[latest[code]], np.ones(len(code), bool)
-    if isinstance(profiles, ProfileTable):
-        by_id = dict(zip(profiles.user_id, profiles.grad.tolist()))
-        grads = [by_id.get(u) for u in stints.user_ids]
-    else:
-        grads = []
-        for u in stints.user_ids:
-            p = profiles.get(u)
-            grads.append(
-                None if p is None else NO_DATE if p.grad_date is None else p.grad_date.ordinal
-            )
-    return _known(grads, NO_DATE, np.int64)
+        return latest[code]
+    row_by_id = {u: r for r, u in enumerate(profiles.user_id)}
+    return np.fromiter(
+        (row_by_id.get(u, -1) for u in stints.user_ids), np.intp, len(stints.user_ids)
+    )
 
 
 def external_hop_fraction(
@@ -464,23 +441,30 @@ def external_hop_fraction(
     """Per-cohort fraction of hop events that leave the organization.
 
     A hop is attributed to its source job. profiles_by_id maps user ids to
-    profiles, or is the ProfileTable of the profiles; graduation months are
-    read from it. Hops of users missing from it, and hops with an undefined
-    value on any requested axis, are excluded. Cells whose event count falls
-    below cohort_min_support carry fraction=None and suppressed=True.
+    profiles, or is the ProfileTable of the profiles; each hop user's
+    graduation month and skill count are read from it, from the later
+    profile where an id repeats. A Mapping's values are packed into a
+    ProfileTable first. Hops of users missing from it, and hops with an
+    undefined value on any requested axis, are excluded. Cells whose event
+    count falls below cohort_min_support carry fraction=None and
+    suppressed=True.
     """
     table = HopTable.of(hops)
-    grad, known = _user_grads(table.stints, profiles_by_id)
-    keep = known[table.user]
+    if not isinstance(profiles_by_id, ProfileTable):
+        profiles_by_id = ProfileTable.of(profiles_by_id.values())
+    row = _profile_rows(table.stints, profiles_by_id)[table.user]
+    # Hops of users without a profile go before row indexes any column.
+    hop = np.flatnonzero(row >= 0)
+    src, row = table.src[hop], row[hop]
+    keep = np.ones(len(hop), bool)
     bins = []
     for axis in axes:
-        k, defined = _axis_bins(axis, table, index, grad)
+        k, defined = _axis_bins(axis, table.stints, src, index, profiles_by_id, row)
         bins.append(k)
         keep &= defined
-    rows = np.flatnonzero(keep)
     # With no axes, one all-zero column puts every hop in the cell ().
-    columns = [k[rows] for k in bins] or [np.zeros(len(rows), np.int64)]
-    cell_keys, support, external = cell_counts(*columns, mask=table.external[rows])
+    columns = [k[keep] for k in bins] or [np.zeros(len(hop), np.int64)]
+    cell_keys, support, external = cell_counts(*columns, mask=table.external[hop[keep]])
     cells = zip(*(k.tolist() for k in cell_keys))
 
     cohorts: dict[tuple[CohortSpec, ...], CohortCell] = {}

@@ -286,6 +286,18 @@ def test_metrics_cohorts(corpus, tmp_path):
     assert any(r[11] == "false" for r in rows[1:])  # some unsuppressed cell
 
 
+def test_metrics_cohorts_skill_cross_is_report_alls(corpus, tmp_path):
+    flags = ["--input", str(corpus), "--cohort-min-support", "10"]
+    out = tmp_path / "cohorts.csv"
+    assert main(["metrics", "cohorts", "--out", str(out), "--axes", "work_exp,skill_count",
+                 *flags]) == 0
+    assert main(["report-all", "--out-dir", str(tmp_path / "reports"), *flags]) == 0
+    rows = read_csv(out)
+    assert rows[1:] and all(r[0] == "work_exp_x_skill_count" for r in rows[1:])
+    report = read_csv(tmp_path / "reports" / "cohort_fractions.csv")
+    assert rows == [report[0]] + [r for r in report[1:] if r[0] == "work_exp_x_skill_count"]
+
+
 def test_metrics_cohorts_bad_axis(corpus, tmp_path):
     code = main([
         "metrics", "cohorts", "--input", str(corpus),

@@ -479,3 +479,23 @@ def test_cohort_cells_at_bin_edges():
         ((a, 5.0, 10.0), (w, 5.0, 10.0)): 1,
         ((a, 0.0, 5.0), (w, 0.0, 5.0)): 1,
     }
+
+
+def test_skill_counts_come_from_profiles_by_id_not_the_index():
+    # The index knows only u1; u2's seven skills still put its hop in [5, 10).
+    cfg = config("2016-06", cohort_min_support=1)
+    skills = tuple("abcdefg")
+    profiles = [
+        profile(u, grad="2008-06", skills=skills, jobs=[
+            job("t1", "x", "i", "2010-01", "2012-01"), job("t2", "y", "i", "2012-01", "2014-01"),
+        ])
+        for u in ("u1", "u2")
+    ]
+    hops, _ = extract_all_hops(profiles, cfg)
+    index = CorpusIndex.build(profiles[:1], cfg)
+    stats = external_hop_fraction(
+        hops, [CohortAxis.SKILL_COUNT], index, {p.user_id: p for p in profiles}
+    )
+    assert {
+        (spec.bin_lower, spec.bin_upper): cell.support for (spec,), cell in stats.cohorts.items()
+    } == {(5.0, 10.0): 2}

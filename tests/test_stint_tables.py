@@ -106,11 +106,9 @@ def ref_means(values_by_key):
 def ref_index(profiles, cfg):
     wk_job, age_job, wk_org = defaultdict(list), defaultdict(list), defaultdict(list)
     supporters = defaultdict(set)
-    skills = {}
     drops = StintDrops()
     negative = 0
     for p in profiles:
-        skills[p.user_id] = len(p.skills)
         for j in usable_jobs(p, cfg.curr_date, drops):
             age_job[j.key].append(job_age(j, cfg))
             wk = work_experience(p, j, cfg.curr_date)
@@ -127,7 +125,6 @@ def ref_index(profiles, cfg):
         age_by_jobkey=ref_means(age_job),
         wk_exp_by_orgjob=ref_means(wk_org),
         support_by_orgjob={key: len(users) for key, users in supporters.items()},
-        skill_count_by_user=skills,
         negative_experience_jobs=negative,
         future_jobs=drops.future_jobs,
         invalid_period_jobs=drops.invalid_period_jobs,
@@ -137,7 +134,7 @@ def ref_index(profiles, cfg):
 def ref_bin_index(hop, axis, index, profile):
     width = index.config.group_bin_width_years
     if axis is CohortAxis.SKILL_COUNT:
-        return int(index.skill_count_by_user.get(hop.user_id, 0) // width)
+        return int(len(profile.skills) // width)
     if axis is CohortAxis.WORK_EXP:
         months = work_experience(profile, hop.source, index.config.curr_date)
         return None if months is None else int((months / 12.0) // width)
@@ -336,10 +333,13 @@ def test_columnar_stages_equal_the_references(profiles, cfg, data):
     # A profiles_by_id that omits some users.
     kept_ids = data.draw(st.sets(st.sampled_from([p.user_id for p in profiles] or ["x"])))
     by_id = {p.user_id: p for p in profiles if p.user_id in kept_ids}
+    by_id_table = model.ProfileTable.of(list(by_id.values()))
     for axes in AXES:
         want = ref_external_hop_fraction(want_hops, axes, index, by_id)
         assert external_hop_fraction(hops, axes, index, by_id) == want
         assert external_hop_fraction(want_hops, axes, index, by_id) == want
+        # A ProfileTable other than the stints' source, matched by id.
+        assert external_hop_fraction(hops, axes, index, by_id_table) == want
         # The stint table's own source, read as columns: a repeated id's later profile counts.
         want = ref_external_hop_fraction(want_hops, axes, index, {p.user_id: p for p in profiles})
         assert external_hop_fraction(hops, axes, index, stints.source) == want
