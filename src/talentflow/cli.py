@@ -16,8 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Iterable
 
-import numpy as np
-
 from . import model, reports
 from .graphalgo import CentralityMetric, centrality, fit_power_law
 from .hopgraph import ExportFormat, GraphLevel, build_graph, export_graph, has_moves, require_nodes
@@ -52,7 +50,7 @@ _LEVELS = [level.value for level in GraphLevel]
 def infer_curr_date(profiles: Iterable[UserProfile]) -> DateMonth:
     """Latest date appearing anywhere in the corpus: a max over its columns."""
     table = ProfileTable.of(profiles)
-    latest = int(np.concatenate([table.grad, table.start, table.end]).max(initial=NO_DATE))
+    latest = max(int(c.max(initial=NO_DATE)) for c in (table.grad, table.start, table.end))
     if latest == NO_DATE:
         raise ValueError("empty corpus: pass --curr-date to set the analysis date")
     return table.month(latest)

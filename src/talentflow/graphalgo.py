@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .hopgraph import GraphIndex, HopGraph, NodeKey
-from .model import AnalysisConfig, run_starts
+from .model import AnalysisConfig, cell_counts, run_starts
 
 
 class CentralityMetric(str, Enum):
@@ -222,10 +222,11 @@ def _weak_labels(idx: GraphIndex) -> np.ndarray:
     next: the roots with a live edge at least halve every two rounds. When
     no edge is left, each root is the smallest id of its component.
 
-    Each root's smallest neighbor root comes from one sort of the packed
-    key larger_root * n + smaller_root. np.minimum.at would do without the
-    sort, but its first call pages in about 0.13 MB of numpy code, which
-    showed in the peak memory of a report pass, whose graphs are small.
+    Each root's smallest neighbor root is the first of its cells among the
+    ascending (larger root, smaller root) cells of the live edges
+    (model.cell_counts). np.minimum.at would do without counting cells, but
+    its first call pages in about 0.13 MB of numpy code, which showed in the
+    peak memory of a report pass, whose graphs are small.
     """
     n = len(idx.nodes)
     label = np.arange(n, dtype=np.intp)
@@ -233,9 +234,9 @@ def _weak_labels(idx: GraphIndex) -> np.ndarray:
     src, dst = idx.src[live], idx.dst[live]
     while len(src):
         a, b = label[src], label[dst]
-        key = np.sort(np.maximum(a, b) * n + np.minimum(a, b))
-        root, low = np.divmod(key[run_starts(key // n)], n)
-        label[root] = low
+        (root, low), _, _ = cell_counts(np.maximum(a, b), np.minimum(a, b))
+        first = run_starts(root)
+        label[root[first]] = low[first]
         while True:
             up = label[label]
             if (up == label).all():

@@ -18,20 +18,21 @@ stint tables (see HopTable, StintTable).
 A HopGraph is frozen and holds one integer index (GraphIndex): the node
 keys in sorted order, and the edges as integer source and target node ids
 with their weights, in (source, target) order. build_graph makes that index
-from packed integer keys, never from key tuples: the stint table numbers
-node keys in sorted order, so it counts edge weights with one sort of
-source_id * n + target_id (distinct movers: with one more sort of
-pair_rank * n_users + user code, where pair_rank ranks the distinct pairs),
-prunes, and renumbers the surviving ids with a cumulative sum, so the
-edges come out already in index order. It hands HopGraph the index's
-nodes and an EdgeMap over the index as the edges, and the graph takes its
-index from that map. GraphIndex.edges, the key tuples, and the EdgeMap's
-dict are made on their first read and kept; the edge map's length is the
-index's edge count, so building, analysing and exporting a graph makes no
-per-edge key object. A graph given key dicts (HopGraph(level, nodes,
-support, edges), import_graph_csv) is indexed by GraphIndex.of, which maps
-the keys to ids and hands them to the same array constructor,
-GraphIndex.of_ids.
+from node ids, never from key tuples: the stint table numbers node keys in
+sorted order, so the ascending (source id, target id) cells of the hops,
+counted by model.cell_counts, are the edges and their weights (distinct
+movers: the hops are first reduced to their distinct (source id, target
+id, mover) cells). It prunes and renumbers the surviving ids with a
+cumulative sum, so the edges come out already in index order. It hands
+HopGraph the index's nodes and an EdgeMap over the index as the edges, and
+the graph takes its index from that map. GraphIndex.edges, the key tuples,
+and the EdgeMap's dict are made on their first read and kept; the edge
+map's length is the index's edge count, so building, analysing and
+exporting a graph makes no per-edge key object. A graph given key dicts
+(HopGraph(level, nodes, support, edges), import_graph_csv) is indexed by
+GraphIndex.of, which maps the keys to ids and hands them to the same array
+constructor, GraphIndex.of_ids, which orders the edges with
+model.sort_order.
 
 Every analytic in graphalgo and every export reads the index, so none sorts
 or re-keys the graph again. Exports render and quote each node label once,
@@ -59,9 +60,10 @@ from .model import (
     JobKey,
     StintTable,
     UserProfile,
+    cell_counts,
     distinct_counts,
     read_only,
-    run_starts,
+    sort_order,
 )
 
 NodeKey = JobKey | str
@@ -147,7 +149,7 @@ class GraphIndex:
         The edges are put in (src, dst) order here; edges already in that
         order, as build_graph makes them, keep it.
         """
-        perm = np.argsort(src * len(nodes) + dst, kind="stable")
+        perm = sort_order(src, dst)
         src = src[perm].astype(np.intp, copy=False)
         dst = dst[perm].astype(np.intp, copy=False)
         weight = weight[perm].astype(np.int64, copy=False)
@@ -271,25 +273,19 @@ def build_graph(
     node, keys = _node_column(stints, level)
     who = stints.user_code[stints.user[src]]
     if profiles is None:
-        ends = np.concatenate([node[src], node[dst]])
+        ends = node[np.concatenate([src, dst])]
         support = distinct_counts(ends, np.concatenate([who, who]), len(keys))
     else:
         support = _holder_support(stints, level, config.curr_date, profiles, keys)
 
-    # Node ids are the keys' positions in sorted order, so packed (u, v)
-    # keys sort into the index's edge order.
-    n = len(keys)
-    pairs = node[src] * n + node[dst]
-    ordered = np.sort(pairs)
-    first = run_starts(ordered)
-    edge = ordered[first]
+    # Node ids are the keys' positions in sorted order, so the (u, v) cells
+    # come in the index's edge order.
+    u, v = node[src], node[dst]
     if distinct_users:
-        weight = distinct_counts(np.searchsorted(edge, pairs), who, len(edge))
-    else:
-        weight = np.diff(np.append(first, len(pairs)))
-    u, v = np.divmod(edge, n)
+        (u, v, _), _, _ = cell_counts(u, v, who)
+    (u, v), weight, _ = cell_counts(u, v)
 
-    kept = np.zeros(n, bool)
+    kept = np.zeros(len(keys), bool)
     kept[u] = True
     kept[v] = True
     kept &= support >= config.min_support

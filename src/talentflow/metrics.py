@@ -52,6 +52,7 @@ from .model import (
     UserProfile,
     cell_counts,
     distinct_counts,
+    is_int,
     months_between,
     read_only,
     work_experience_months,
@@ -508,7 +509,7 @@ def promotion_by_stay(
     Bins are half-open [k*w, (k+1)*w) months. Bins under cohort_min_support
     are reported with fraction=None and suppressed=True.
     """
-    if bin_width_months < 1:
+    if not is_int(bin_width_months) or bin_width_months < 1:
         raise ValueError("bin_width_months must be a positive integer")
     table = LevelGainTable.of(records)
     if not len(table):

@@ -663,27 +663,27 @@ def label_ranks(labels: Sequence[str]) -> np.ndarray:
     return rank
 
 
-def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(code per value, index of a value with each code) for an int array.
+def _sorted_codes(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code per row, index of a row with each code) for integer columns.
 
-    Codes number the distinct values in ascending order.
+    Codes number the distinct rows in the ascending order of their value
+    tuples (groups).
     """
-    order, first, size = groups(values)
-    codes = np.empty(len(values), np.intp)
+    order, first, size = groups(*columns)
+    codes = np.empty(len(order), np.intp)
     codes[order] = np.repeat(np.arange(len(first)), size)
     return codes, order[first]
 
 
 def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
-    # Keys are packed from label ranks, one int64 each, so that their codes
-    # ascend as the key tuples sort.
+    # Keys are coded from label ranks, so that their codes ascend as the key
+    # tuples sort.
     rank = label_ranks(source.labels)
-    width = len(source.labels)
     title = source.title[rows]
     industry = source.industry[rows]
     organization = source.organization[rows]
-    job_key, job_first = _sorted_codes(rank[title] * width + rank[industry])
-    org_key, org_key_first = _sorted_codes(rank[title] * width + rank[organization])
+    job_key, job_first = _sorted_codes(rank[title], rank[industry])
+    org_key, org_key_first = _sorted_codes(rank[title], rank[organization])
     org, org_first = _sorted_codes(rank[organization])
 
     def labels(ids: np.ndarray) -> Iterator[str]:
@@ -733,13 +733,18 @@ def _spans(columns: Sequence[np.ndarray]) -> tuple[list[int], list[int]] | None:
 
 
 def _pack(columns: Sequence[np.ndarray], lows: list[int], spans: list[int]) -> np.ndarray:
-    """One int64 per row that orders and equals as the rows' value tuples do."""
-    key = np.zeros(len(columns[0]), np.int64)
-    for c, lo, span in zip(columns, lows, spans):
+    """One int64 per row that orders and equals as the rows' value tuples do.
+
+    The key is int64 whatever the columns' integer dtype; a float column
+    raises numpy's UFuncTypeError rather than be truncated.
+    """
+    key = np.subtract(columns[0], lows[0], dtype=np.int64)
+    for c, lo, span in zip(columns[1:], lows[1:], spans[1:]):
         # In place, so no temporary; a step that wraps is undone by the next.
         key *= span
         key += c
-        key -= lo
+        if lo:
+            key -= lo
     return key
 
 
@@ -787,41 +792,67 @@ def cell_counts(
     how many rows fall in each.
 
     Returns (cells, count, masked): cells holds per column each cell's value,
-    count each cell's row count and masked, given a bool mask over the rows,
-    each cell's count of rows where it is set (else None). When the packed
-    key spans no more values than there are rows, one bincount over it counts
-    the cells, so nothing larger than the rows is allocated; wider spans are
-    grouped by sorting (groups).
+    in the column's dtype, count each cell's row count and masked, given a
+    bool mask over the rows, each cell's count of rows where it is set (else
+    None). The one counter of multi-column cells: the columns are packed into
+    one int64 key (_pack). A key that spans no more values than there are
+    rows is counted by one bincount, so nothing larger than the rows is
+    allocated; a wider key is sorted by value and cut into runs. Only a key
+    past 2**63, or a wider key with a mask, is grouped by sorting rows
+    (groups). The cells are unpacked from the key here, and nowhere else.
     """
     packing = _spans(columns)
-    if packing is not None and math.prod(packing[1]) <= len(columns[0]):
-        lows, spans = packing
-        key = _pack(columns, lows, spans)
-        count = np.bincount(key)
-        occupied = np.flatnonzero(count)
-        masked = None if mask is None else np.bincount(key[mask], minlength=len(count))[occupied]
-        cells = []
-        rest = occupied
-        for c, lo, span in zip(columns[::-1], lows[::-1], spans[::-1]):
-            rest, offset = np.divmod(rest, span)
-            cells.append((offset + lo).astype(c.dtype))
-        return cells[::-1], count[occupied], masked
-    order, first, count = groups(*columns)
+    dense = packing is not None and math.prod(packing[1]) <= len(columns[0])
+    if packing is None or (mask is not None and not dense):
+        order, first, count = groups(*columns)
+        masked = None
+        if mask is not None:
+            masked = np.add.reduceat(mask[order].astype(np.int64), first) if len(first) else count
+        return [c[order[first]] for c in columns], count, masked
+    lows, spans = packing
+    key = _pack(columns, lows, spans)
     masked = None
-    if mask is not None:
-        masked = np.add.reduceat(mask[order].astype(np.int64), first) if len(first) else count
-    return [c[order[first]] for c in columns], count, masked
+    if dense:
+        count = np.bincount(key)
+        rest = np.flatnonzero(count)
+        if mask is not None:
+            masked = np.bincount(key[mask], minlength=len(count))[rest]
+        count = count[rest]
+    else:
+        key.sort()
+        first = run_starts(key)
+        rest = key[first]
+        # The rows' key and run starts are freed once read, and counted
+        # without np.diff's copy of first, which keeps the peak near the sort's.
+        del key
+        count = np.empty(len(first), np.intp)
+        np.subtract(first[1:], first[:-1], out=count[:-1])
+        count[-1] = len(columns[0]) - first[-1]
+        del first
+    cells = []
+    for c, lo, span in zip(columns[:0:-1], lows[:0:-1], spans[:0:-1]):
+        # The remainder overwrites rest, an array made here that nothing else holds.
+        rest, offset = np.divmod(rest, span, out=(None, rest))
+        if lo:
+            offset += lo
+        cells.append(offset.astype(c.dtype, copy=False))
+    if lows[0]:
+        rest += lows[0]
+    cells.append(rest.astype(columns[0].dtype, copy=False))
+    return cells[::-1], count, masked
 
 
 def distinct_counts(item: np.ndarray, who: np.ndarray, n_items: int) -> np.ndarray:
-    """Per item id below n_items, how many distinct who-codes occur with it.
-
-    One sort of the packed key item * n_who + who, where n_who exceeds every
-    who-code: a distinct key is a distinct (item, who) pair.
+    """Per item id below n_items, how many distinct who-codes occur with it:
+    a bincount over the item of each occupied (item, who) cell (cell_counts).
     """
-    n_who = int(who.max(initial=0)) + 1
-    pairs = np.sort(item * n_who + who)
-    return np.bincount(pairs[run_starts(pairs)] // n_who, minlength=n_items)
+    (items, _), _, _ = cell_counts(item, who)
+    return np.bincount(items, minlength=n_items)
+
+
+def is_int(value: object) -> bool:
+    """Whether value is an int and not a bool, as every integer setting must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -841,17 +872,16 @@ class AnalysisConfig:
     pagerank_max_iter: int | None = None  # None: the bound of pagerank_iteration_cap
 
     def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise ValueError("min_support must be a positive integer")
-        if self.group_bin_width_years < 1:
-            raise ValueError("group_bin_width_years must be a positive integer")
-        if self.cohort_min_support < 1:
-            raise ValueError("cohort_min_support must be a positive integer")
+        for name in ("min_support", "group_bin_width_years", "cohort_min_support"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
         if not 0.0 < self.teleport_prob < 1.0:
             raise ValueError("teleport_prob must lie in (0, 1)")
         if self.pagerank_tol <= 0.0:
             raise ValueError("pagerank_tol must be positive")
-        if self.pagerank_max_iter is not None and self.pagerank_max_iter < 1:
+        max_iter = self.pagerank_max_iter
+        if max_iter is not None and (not is_int(max_iter) or max_iter < 1):
             raise ValueError("pagerank_max_iter must be a positive integer")
 
     @property

@@ -33,7 +33,7 @@ from pathlib import Path
 from random import NV_MAGICCONST
 from typing import Callable, Mapping
 
-from .model import DateMonth
+from .model import DateMonth, is_int
 
 DEFAULT_CATALOG: dict[str, tuple[str, ...]] = {
     "information technology": (
@@ -113,7 +113,7 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValidationError(name, f"must be an integer, got {value!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
@@ -199,13 +199,9 @@ _INT_FIELDS = tuple(f.name for f in fields(GeneratorSpec) if f.type == "int")
 _REAL_FIELDS = tuple(f.name for f in fields(GeneratorSpec) if f.type == "float")
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_number(value: object) -> bool:
     """A finite float or an int; not a bool."""
-    return _is_int(value) or isinstance(value, float) and isfinite(value)
+    return is_int(value) or isinstance(value, float) and isfinite(value)
 
 
 @dataclass

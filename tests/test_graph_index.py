@@ -397,6 +397,17 @@ def test_index_is_read_only_and_checks_endpoints():
         HopGraph(level=GraphLevel.ORG, nodes={"a"}, node_support={}, edges={("a", "c"): 1})
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.intp])
+def test_of_ids_orders_int32_ids_as_intp_ids(dtype):
+    # Over 50,000 nodes a source id times the node count passes 2**31.
+    index = GraphIndex.of_ids(
+        tuple(range(50_000)), np.array([49_999, 3, 3], dtype), np.array([0, 49_999, 1], dtype),
+        np.ones(3, np.int64),
+    )
+    assert list(zip(index.src.tolist(), index.dst.tolist())) == [(3, 1), (3, 49_999), (49_999, 0)]
+    assert index.src.dtype == index.dst.dtype == np.intp
+
+
 def build_every_way(hops, profiles, cfg):
     return [
         build_graph(hops, level, cfg, profiles=source, distinct_users=distinct)

@@ -424,8 +424,10 @@ def test_promotion_by_stay_suppression():
 
 
 def test_promotion_by_stay_rejects_bad_width():
-    with pytest.raises(ValueError):
-        promotion_by_stay([], 0, CFG)
+    records = [make_record(HopKind.INTERNAL, +1, stay=18)]
+    for width in (0, 12.0, True):
+        with pytest.raises(ValueError, match="bin_width_months must be a positive integer"):
+            promotion_by_stay(records, width, CFG)
 
 
 def test_two_axis_cross_tabulation():

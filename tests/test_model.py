@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from talentflow.model import (
+    AnalysisConfig,
     DateMonth,
     InvalidLabelError,
     JobKey,
@@ -176,33 +177,48 @@ def test_open_end_resolution():
 @given(
     st.integers(1, 6),
     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6)), max_size=40),
+    st.sampled_from([0, 2**30]),
+    st.sampled_from([np.intp, np.int32]),
 )
-def test_distinct_counts_equals_a_set_count(n_items, pairs):
-    pairs = [(item % n_items, who) for item, who in pairs]
-    item = np.array([i for i, _ in pairs], dtype=np.intp)
-    who = np.array([w for _, w in pairs], dtype=np.intp)
+@example(2, [(1, 0), (1, 1), (0, 5 - 2**30)], 2**30, np.int32)
+def test_distinct_counts_equals_a_set_count(n_items, pairs, base, dtype):
+    # Codes near 2**30 in int32 columns must not wrap while they are counted.
+    pairs = [(item % n_items, base + who) for item, who in pairs]
+    item = np.array([i for i, _ in pairs], dtype=dtype)
+    who = np.array([w for _, w in pairs], dtype=dtype)
     want = [len({w for i, w in pairs if i == k}) for k in range(n_items)]
-    assert distinct_counts(item, who, n_items).tolist() == want
+    got = distinct_counts(item, who, n_items).tolist()
+    assert got == distinct_counts(item.astype(np.int64), who.astype(np.int64), n_items).tolist()
+    assert got == want
 
 
 # --- sorting and counting by packed keys ---------------------------------------
 
+int32s = st.integers(-(2**31), 2**31 - 1)
 int64s = st.integers(-(2**63), 2**63 - 1)
 
 
 @st.composite
 def key_columns(draw, max_columns=4):
-    """1-4 equal-length int64 or bool columns, empty ones and spans whose
-    product passes 2**63 included."""
+    """1-4 equal-length int64, int32 or bool columns, empty ones and spans
+    whose product passes 2**63 included."""
     n = draw(st.integers(0, 30))
     columns = []
     for _ in range(draw(st.integers(1, max_columns))):
-        values = draw(st.sampled_from([
-            st.booleans(), st.integers(-3, 3), st.integers(-(10**6), 10**6), int64s,
+        values, dtype = draw(st.sampled_from([
+            (st.booleans(), bool),
+            (st.integers(-3, 3), np.int64),
+            (st.integers(-3, 3), np.int32),
+            (st.integers(-(10**6), 10**6), np.int64),
+            (int32s, np.int32),
+            (int64s, np.int64),
         ]))
-        column = draw(st.lists(values, min_size=n, max_size=n))
-        columns.append(np.array(column, dtype=bool if values is st.booleans() else np.int64))
+        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
     return columns
+
+
+def as_int64(columns):
+    return [c.astype(np.int64) if c.dtype == np.int32 else c for c in columns]
 
 
 def row_tuples(columns):
@@ -212,6 +228,7 @@ def row_tuples(columns):
 @given(key_columns())
 def test_sort_order_is_lexsort(columns):
     assert sort_order(*columns).tolist() == np.lexsort(columns[::-1]).tolist()
+    assert sort_order(*columns).tolist() == sort_order(*as_int64(columns)).tolist()
     rows = row_tuples(columns)
     unstable = sort_order(*columns, stable=False).tolist()
     assert sorted(unstable) == list(range(len(rows)))
@@ -249,6 +266,9 @@ def test_cell_counts_equal_a_counter(columns, data):
     assert count.tolist() == [want[r] for r in sorted(want)]
     cells, count, masked = cell_counts(*columns, mask=mask)
     assert masked.tolist() == [want_masked[r] for r in sorted(want)]
+    wide_cells, wide_count, wide_masked = cell_counts(*as_int64(columns), mask=mask)
+    assert row_tuples(cells) == row_tuples(wide_cells)
+    assert (count.tolist(), masked.tolist()) == (wide_count.tolist(), wide_masked.tolist())
 
 
 def test_cell_counts_allocate_no_more_than_the_rows():
@@ -264,8 +284,10 @@ def test_cell_counts_allocate_no_more_than_the_rows():
     assert peak < 64 * 1024
 
 
-def test_lexsort_is_called_only_by_sort_order():
-    # One sort idiom: every multi-key sort goes through model.sort_order.
+@pytest.mark.parametrize("attr, owner", [("lexsort", "sort_order"), ("divmod", "cell_counts")])
+def test_only_model_sorts_or_unpacks_multi_column_keys(attr, owner):
+    # One owner of packed keys: every multi-key sort goes through
+    # model.sort_order, and every packed key is unpacked in model.cell_counts.
     src = Path(__file__).resolve().parent.parent / "src" / "talentflow"
     callers = []
     for path in sorted(src.glob("*.py")):
@@ -273,6 +295,18 @@ def test_lexsort_is_called_only_by_sort_order():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
-                    if isinstance(node, ast.Attribute) and node.attr == "lexsort":
+                    if isinstance(node, ast.Attribute) and node.attr == attr:
                         callers.append((path.name, fn.name))
-    assert callers == [("model.py", "sort_order")]
+    assert callers == [("model.py", owner)]
+
+
+@pytest.mark.parametrize("field", [
+    "min_support", "group_bin_width_years", "cohort_min_support", "pagerank_max_iter",
+])
+@pytest.mark.parametrize("value", [0, -1, 5.0, True, "5"])
+def test_analysis_config_refuses_a_setting_that_is_not_a_positive_int(field, value):
+    # A float bin width used to reach the packed cohort keys and fail there
+    # with numpy's UFuncTypeError.
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer$"):
+        AnalysisConfig(DateMonth(2016, 6), **{field: value})
+    assert getattr(AnalysisConfig(DateMonth(2016, 6), **{field: 3}), field) == 3
