@@ -89,6 +89,15 @@ def _load(args) -> tuple[ProfileTable, AnalysisConfig]:
     return active, config
 
 
+def _load_stints(args) -> tuple[StintTable, AnalysisConfig]:
+    """_load's active profiles as their stint table at the run's date, with
+    the notes on the stints it drops printed (see _warn_dropped)."""
+    active, config = _load(args)
+    stints = StintTable.of(active, config.curr_date)
+    _warn_dropped(stints.drops, config)
+    return stints, config
+
+
 def _cmd_ingest(args) -> int:
     _profiles, report = ingest_profiles(args.input)
     print(f"total_records: {report.total_records}")
@@ -102,8 +111,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_hops(args) -> int:
-    active, config = _load(args)
-    hops, diag = extract_all_hops(active, config)
+    stints, config = _load_stints(args)
+    hops, _ = extract_all_hops(stints, config)
     rows = [
         [h.user_id, h.source.title, h.source.organization, h.source.industry,
          h.dest.title, h.dest.organization, h.dest.industry,
@@ -116,7 +125,6 @@ def _cmd_hops(args) -> int:
          "dst_title", "dst_org", "dst_industry", "kind", "stay_months"],
         rows,
     )
-    _warn_dropped(diag, config)
     print(args.out)
     return 0
 
@@ -131,7 +139,6 @@ def _warn_dropped(drops: StintDrops, config: AnalysisConfig) -> None:
 
 
 def _cmd_metrics_cohorts(args) -> int:
-    active, config = _load(args)
     axes = []
     for name in args.axes.split(","):
         name = name.strip()
@@ -140,10 +147,10 @@ def _cmd_metrics_cohorts(args) -> int:
         axes.append(_AXIS_NAMES[name])
     if not 1 <= len(axes) <= 2:
         raise ValueError("pass one or two cohort axes")
-    stints = StintTable.of(active, config.curr_date)
+    stints, config = _load_stints(args)
     hops, _ = extract_all_hops(stints, config)
     index = CorpusIndex.build(stints, config)
-    stats = external_hop_fraction(hops, axes, index, active)
+    stats = external_hop_fraction(hops, axes, index, stints.source)
     name = "_x_".join(a.value for a in axes)
     reports.write_rows(
         Path(args.out), reports.COHORT_HEADER, reports.cohort_rows(name, stats)
@@ -153,8 +160,8 @@ def _cmd_metrics_cohorts(args) -> int:
 
 
 def _cmd_metrics_levels(args) -> int:
-    active, config = _load(args)
-    index = CorpusIndex.build(active, config)
+    stints, config = _load_stints(args)
+    index = CorpusIndex.build(stints, config)
     rows = []
     for key in sorted(index.wk_exp_by_orgjob):
         level = job_level(key, index)
@@ -170,31 +177,30 @@ def _cmd_metrics_levels(args) -> int:
     return 0
 
 
-def _records(active, config):
-    stints = StintTable.of(active, config.curr_date)
+def _records(stints, config):
     hops, _ = extract_all_hops(stints, config)
     return level_gains(hops, CorpusIndex.build(stints, config))
 
 
 def _cmd_metrics_promotions(args) -> int:
-    active, config = _load(args)
-    summary = promotion_summary(_records(active, config))
+    stints, config = _load_stints(args)
+    summary = promotion_summary(_records(stints, config))
     reports.write_promotion_table(summary, Path(args.out))
     print(args.out)
     return 0
 
 
 def _cmd_metrics_stay(args) -> int:
-    active, config = _load(args)
-    bins = promotion_by_stay(_records(active, config), args.stay_bin_months, config)
+    stints, config = _load_stints(args)
+    bins = promotion_by_stay(_records(stints, config), args.stay_bin_months, config)
     reports.write_stay_analysis(bins, Path(args.out))
     print(args.out)
     return 0
 
 
-def _build_level_graph(args, active, config):
+def _build_level_graph(args, stints, config):
     """The pruned graph at args.level; ValueError if it has no moves or no node."""
-    hops, _ = extract_all_hops(active, config)
+    hops, _ = extract_all_hops(stints, config)
     level = GraphLevel(args.level)
     if not has_moves(hops, level):
         moves = "external hop" if level is GraphLevel.ORG else "hop"
@@ -203,22 +209,22 @@ def _build_level_graph(args, active, config):
         hops,
         level,
         config,
-        profiles=active,
+        profiles=stints,
         distinct_users=getattr(args, "distinct_users", False),
     ))
 
 
 def _cmd_graph_build(args) -> int:
-    active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
+    stints, config = _load_stints(args)
+    graph = _build_level_graph(args, stints, config)
     export_graph(graph, ExportFormat(args.format), args.out)
     print(args.out)
     return 0
 
 
 def _cmd_graph_analyze(args) -> int:
-    active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
+    stints, config = _load_stints(args)
+    graph = _build_level_graph(args, stints, config)
     table = centrality(graph, _METRICS[args.metric], config)
     reports.write_top_k([table], GraphLevel(args.level), Path(args.out), args.top)
     if args.ccdf:
@@ -241,15 +247,15 @@ def _emit_row(out: str | None, header: list[str], row: list) -> None:
 
 
 def _cmd_graph_components(args) -> int:
-    active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
+    stints, config = _load_stints(args)
+    graph = _build_level_graph(args, stints, config)
     _emit_row(args.out, reports.GRAPH_STATS_HEADER, reports.graph_stats_row(args.level, graph))
     return 0
 
 
 def _cmd_graph_powerlaw(args) -> int:
-    active, config = _load(args)
-    graph = _build_level_graph(args, active, config)
+    stints, config = _load_stints(args)
+    graph = _build_level_graph(args, stints, config)
     table = centrality(graph, _METRICS[args.metric], config)
     if args.metric == "pagerank":
         # Discrete fitting needs positive integers; use per-node rank mass

@@ -23,12 +23,12 @@ sorted order, so the ascending (source id, target id) cells of the hops,
 counted by model.cell_counts, are the edges and their weights (distinct
 movers: the hops are first reduced to their distinct (source id, target
 id, mover) cells). It prunes and renumbers the surviving ids with a
-cumulative sum, so the edges come out already in index order. It hands
-HopGraph the index's nodes and an EdgeMap over the index as the edges, and
-the graph takes its index from that map. GraphIndex.edges, the key tuples,
-and the EdgeMap's dict are made on their first read and kept; the edge
-map's length is the index's edge count, so building, analysing and
-exporting a graph makes no per-edge key object. A graph given key dicts
+cumulative sum, so the edges come out already in index order. The index
+is also the graph's edge map: build_graph hands HopGraph the index's nodes
+and the index itself as the edges, and the graph keeps it as its index.
+The index's dict of edge keys is made on its first read and kept; its
+length is the edge count, so building, analysing and exporting a graph
+makes no per-edge key object. A graph given key dicts
 (HopGraph(level, nodes, support, edges), import_graph_csv) is indexed by
 GraphIndex.of, which maps the keys to ids and hands them to the same array
 constructor, GraphIndex.of_ids, which orders the edges with
@@ -110,21 +110,25 @@ def node_from_str(text: str, level: GraphLevel) -> NodeKey:
 
 
 @dataclass(frozen=True, eq=False, slots=True)
-class GraphIndex:
-    """A graph as integers, computed once when the graph is built.
+class GraphIndex(Mapping):
+    """A graph as integers, computed once when the graph is built, and its
+    edge map {(u, v): weight}.
 
     Node ids are positions in nodes, the node keys in sorted order. Edge i
     runs from node src[i] to node dst[i] with weight weight[i]; edges are
     in (src, dst) order, which is the sorted order of their keys. The
-    arrays are read-only. edges, the key of each edge in that order, is
-    built on its first read and kept.
+    arrays are read-only. As a Mapping its length is the edge count, which
+    builds no key; any other read builds the dict of edge keys
+    (nodes[src[i]], nodes[dst[i]]) to weights once, in index order, and
+    reads that. It compares equal to any mapping with the same items and,
+    like a dict, is unhashable.
     """
 
     nodes: tuple[NodeKey, ...]
     src: np.ndarray  # intp, numpy's index type: PageRank indexes with it each iteration
     dst: np.ndarray  # intp
     weight: np.ndarray  # int64
-    _edges: tuple[tuple[NodeKey, NodeKey], ...] | None = field(default=None, init=False, repr=False)
+    _map: dict[tuple[NodeKey, NodeKey], int] | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(
@@ -156,42 +160,18 @@ class GraphIndex:
         read_only(src, dst, weight)
         return cls(nodes, src, dst, weight)
 
-    @property
-    def edges(self) -> tuple[tuple[NodeKey, NodeKey], ...]:
-        """Edge i's key (nodes[src[i]], nodes[dst[i]]) at position i."""
-        if self._edges is None:
-            object.__setattr__(self, "_edges", self._edge_keys())
-        return self._edges
-
-    def _edge_keys(self) -> tuple[tuple[NodeKey, NodeKey], ...]:
-        key = self.nodes.__getitem__
-        return tuple(zip(map(key, self.src.tolist()), map(key, self.dst.tolist())))
-
-
-class EdgeMap(Mapping):
-    """A built graph's edge map, {(u, v): weight} in index order.
-
-    Its length is the index's edge count; any other read builds the key
-    tuples (GraphIndex.edges) and the dict of them once, then reads that.
-    As a Mapping it compares equal to any mapping with the same items.
-    """
-
-    __slots__ = ("index", "_map")
-
-    def __init__(self, index: GraphIndex) -> None:
-        self.index = index
-        self._map: dict[tuple[NodeKey, NodeKey], int] | None = None
-
     def _dict(self) -> dict[tuple[NodeKey, NodeKey], int]:
         if self._map is None:
-            self._map = self._build()
+            object.__setattr__(self, "_map", self._build())
         return self._map
 
     def _build(self) -> dict[tuple[NodeKey, NodeKey], int]:
-        return dict(zip(self.index.edges, self.index.weight.tolist()))
+        key = self.nodes.__getitem__
+        keys = zip(map(key, self.src.tolist()), map(key, self.dst.tolist()))
+        return dict(zip(keys, self.weight.tolist()))
 
     def __len__(self) -> int:
-        return len(self.index.weight)
+        return len(self.weight)
 
     def __getitem__(self, edge: tuple[NodeKey, NodeKey]) -> int:
         return self._dict()[edge]
@@ -199,20 +179,16 @@ class EdgeMap(Mapping):
     def __iter__(self) -> Iterator[tuple[NodeKey, NodeKey]]:
         return iter(self._dict())
 
-    def __repr__(self) -> str:
-        return repr(self._dict())
-
 
 @dataclass(frozen=True)
 class HopGraph:
     """A built graph, frozen, with its integer index (see GraphIndex).
 
-    The node set is stored as a frozenset. Edges given as an EdgeMap
-    whose index has exactly these nodes, as build_graph gives them, lend
-    the graph that index; any other edges, or other nodes, are indexed by
-    GraphIndex.of. So a dataclasses.replace copy with other nodes or edges
-    never keeps a stale index. An EdgeMap's keys are built on their first
-    read. node_support and edges must not be mutated, because every
+    The node set is stored as a frozenset. Edges given as a GraphIndex
+    over exactly these nodes, as build_graph gives them, are the graph's
+    index; any other edges, or other nodes, are indexed by GraphIndex.of.
+    So a dataclasses.replace copy with other nodes or edges never keeps a
+    stale index. node_support and edges must not be mutated, because every
     analytic and export reads the index. An edge whose endpoint is not a
     node raises ValueError.
     """
@@ -226,8 +202,12 @@ class HopGraph:
     def __post_init__(self) -> None:
         nodes = frozenset(self.nodes)
         object.__setattr__(self, "nodes", nodes)
-        index = self.edges.index if isinstance(self.edges, EdgeMap) else None
-        if index is None or len(index.nodes) != len(nodes) or not nodes.issuperset(index.nodes):
+        index = self.edges
+        if (
+            not isinstance(index, GraphIndex)
+            or len(index.nodes) != len(nodes)
+            or not nodes.issuperset(index.nodes)
+        ):
             index = GraphIndex.of(nodes, self.edges)
         object.__setattr__(self, "index", index)
 
@@ -293,7 +273,7 @@ def build_graph(
     ids = np.cumsum(kept) - 1  # monotone, so the edges stay in (src, dst) order
     nodes = tuple(map(keys.__getitem__, np.flatnonzero(kept).tolist()))
     index = GraphIndex.of_ids(nodes, ids[u[live]], ids[v[live]], weight[live])
-    return HopGraph(level, nodes, dict(zip(nodes, support[kept].tolist())), EdgeMap(index))
+    return HopGraph(level, nodes, dict(zip(nodes, support[kept].tolist())), index)
 
 
 def has_moves(hops: HopTable, level: GraphLevel) -> bool:

@@ -60,10 +60,6 @@ class Hop:
     duration_of_stay_months: int
 
 
-# Counters for the stints extraction dropped, by reason.
-HopDiagnostics = StintDrops
-
-
 def classify_hop(
     source: JobRecord, dest: JobRecord, curr_date: DateMonth
 ) -> HopKind | None:
@@ -174,7 +170,7 @@ class HopTable(RowViews):
 def extract_hops(
     profile: UserProfile,
     curr_date: DateMonth,
-    diag: HopDiagnostics | None = None,
+    diag: StintDrops | None = None,
 ) -> list[Hop]:
     """Derive the hops of one profile, in chronological order.
 
@@ -191,7 +187,7 @@ def extract_hops(
 
 def extract_all_hops(
     profiles: Iterable[UserProfile] | StintTable, config: AnalysisConfig
-) -> tuple[HopTable, HopDiagnostics]:
+) -> tuple[HopTable, StintDrops]:
     """Extract hops for a whole corpus, profile order preserved.
 
     Takes the profiles (a ProfileTable or UserProfile objects) or their

@@ -855,6 +855,11 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The most PageRank steps a config derives: at a tiny teleport_prob the
+# derived count grows without bound (19,106 at 0.001, 1.9e16 at 1e-15).
+PAGERANK_ITERATION_LIMIT = 20_000
+
+
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Knobs shared by the whole pipeline.
@@ -886,14 +891,16 @@ class AnalysisConfig:
 
     @property
     def pagerank_iteration_cap(self) -> int:
-        """pagerank_max_iter if set, else the steps that make PageRank converge.
+        """pagerank_max_iter if set, else the steps that make PageRank converge,
+        at most PAGERANK_ITERATION_LIMIT.
 
         Each PageRank step is an L1 contraction by 1 - teleport_prob, so the
         change after step k is at most 2 * (1 - teleport_prob) ** (k - 1):
         ceil(1 + ln(tol / 2) / ln(1 - teleport_prob)) steps bring it below
-        pagerank_tol (119 at the defaults).
+        pagerank_tol (119 at the defaults). log1p keeps ln(1 - teleport_prob)
+        nonzero where 1 - teleport_prob rounds to 1.
         """
         if self.pagerank_max_iter is not None:
             return self.pagerank_max_iter
-        steps = 1 + math.log(self.pagerank_tol / 2) / math.log(1 - self.teleport_prob)
-        return max(1, math.ceil(steps))
+        steps = 1 + math.log(self.pagerank_tol / 2) / math.log1p(-self.teleport_prob)
+        return math.ceil(min(max(steps, 1), PAGERANK_ITERATION_LIMIT))

@@ -65,7 +65,7 @@ def sorted_nodes(graph: HopGraph) -> list[NodeKey]:
 
 def sorted_edges(graph: HopGraph) -> list[tuple[tuple[NodeKey, NodeKey], int]]:
     """(edge, weight) pairs in the graph's index order, which the tests hold to sorted order."""
-    return list(zip(graph.index.edges, graph.index.weight.tolist()))
+    return list(graph.index.items())
 
 def config(curr="2016-06", **kwargs) -> AnalysisConfig:
     return AnalysisConfig(curr_date=dm(curr), **kwargs)

@@ -223,6 +223,41 @@ def test_no_active_profile_fails_every_loading_command(tmp_path, capsys, kind):
     assert "active_records: 0" in capsys.readouterr().out
 
 
+def test_every_loading_command_notes_dropped_stints_once(tmp_path, capsys):
+    # Every command that loads the corpus notes the stints the analysis date
+    # drops, once: the metrics and graph commands used to drop them silently.
+    corpus = tmp_path / "c.jsonl"
+    generate(GeneratorSpec(seed=3, n_users=300), corpus, tmp_path / "t.json")
+    note = "skipped 563 jobs starting after 2012-01 and 0 jobs with start > end"
+    for command in LOADING_COMMANDS:
+        args = [a if a not in ("o.csv", "out") else str(tmp_path / a) for a in command]
+        assert main(args + ["--input", str(corpus), "--curr-date", "2012-01"]) == 0, command
+        assert capsys.readouterr().err.splitlines() == [note], command
+
+
+def test_a_tiny_teleport_stops_at_the_iteration_limit(tmp_path, capsys):
+    # Org graph a <-> b plus c -> a: the a-b cycle converges at rate
+    # 1 - teleport, so at 1e-6 the derived cap used to run for minutes, and
+    # at 1e-17 ln(1 - teleport) was 0 and the cap divided by it.
+    def profile(user_id, orgs):
+        jobs = [{"title": "t", "organization": org, "industry": "i", "start": f"{2001 + i}-01",
+                 "end": f"{2001 + i}-06"} for i, org in enumerate(orgs)]
+        return json.dumps({"user_id": user_id, "grad_date": "2000-06", "education_count": 1,
+                           "skills": ["s"], "jobs": jobs}) + "\n"
+
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text(profile("u1", "aba") + profile("u2", "ca"), encoding="utf-8")
+    out = tmp_path / "top.csv"
+    for teleport in ("0.000001", "1e-17"):
+        assert main(["graph", "analyze", "--input", str(corpus), "--level", "org", "--metric",
+                     "pagerank", "--min-support", "1", "--teleport", teleport,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: pagerank hit max iterations before converging\n"
+        )
+        assert len(read_csv(out)) == 4
+
+
 PRUNING_COMMANDS = [
     ["graph", "build", "--out", "o.csv", "--format", "csv"],
     ["graph", "build", "--out", "o.csv", "--format", "dot"],

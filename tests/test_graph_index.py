@@ -41,7 +41,6 @@ from talentflow.graphalgo import (
     weighted_pagerank,
 )
 from talentflow.hopgraph import (
-    EdgeMap,
     ExportFormat,
     GraphIndex,
     GraphLevel,
@@ -381,7 +380,7 @@ def test_prefix_titles_keep_tuple_order(tmp_path):
         edges={(c, a): 1, (a, c): 2, (b, b): 3},
     )
     assert graph.index.nodes == (a, b, c)
-    assert graph.index.edges == ((a, c), (b, b), (c, a))
+    assert tuple(graph.index) == ((a, c), (b, b), (c, a))
     assert graph.index.src.tolist() == [0, 1, 2]
     assert graph.index.dst.tolist() == [2, 1, 0]
     assert graph.index.weight.tolist() == [2, 3, 1]
@@ -395,6 +394,23 @@ def test_index_is_read_only_and_checks_endpoints():
         graph.index.weight[0] = 5
     with pytest.raises(ValueError, match="'c'"):
         HopGraph(level=GraphLevel.ORG, nodes={"a"}, node_support={}, edges={("a", "c"): 1})
+
+
+def test_graph_index_is_the_edge_map_and_its_len_builds_no_key(monkeypatch):
+    edges = {("b", "a"): 2, ("a", "c"): 1}
+    graph = HopGraph(level=GraphLevel.ORG, nodes={"a", "b", "c"}, node_support={}, edges=edges)
+    index = graph.index
+    calls = Counter()
+    monkeypatch.setattr(GraphIndex, "_build", counting(calls, "edge dict", GraphIndex._build))
+    assert len(index) == 2 and calls == Counter()
+    assert index == edges and edges == index and index != {("a", "c"): 1}
+    assert list(index) == [("a", "c"), ("b", "a")] and index[("b", "a")] == 2
+    assert calls == Counter({"edge dict": 1})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(index)
+    # Given the index as its edges, a graph over the same nodes keeps it.
+    kept = HopGraph(GraphLevel.ORG, graph.nodes, {}, index)
+    assert kept.index is index and kept.edges is index and kept == graph
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.intp])
@@ -437,14 +453,16 @@ def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_suppor
         assert keyed == graph
         ours, theirs = graph.index, keyed.index
         assert theirs is not ours
-        assert (ours.nodes, ours.edges) == (theirs.nodes, theirs.edges)
+        assert (ours.nodes, tuple(ours)) == (theirs.nodes, tuple(theirs))
         for name in ("src", "dst", "weight"):
             a, b = getattr(ours, name), getattr(theirs, name)
             assert a.dtype == b.dtype and a.tolist() == b.tolist() and not a.flags.writeable
             assert not b.flags.writeable
-        # Given an edge map over its own index, the graph keeps that index.
-        given = HopGraph(graph.level, ours.nodes, graph.node_support, EdgeMap(ours))
-        assert given == graph and given.index is ours and given.nodes == graph.nodes
+        # Given its own index as the edges, the graph keeps that index.
+        assert graph.edges is ours
+        given = HopGraph(graph.level, ours.nodes, graph.node_support, ours)
+        assert given == graph and given.index is ours and given.edges is ours
+        assert given.nodes == graph.nodes
         # A copy with other nodes is indexed from them, not given the old index.
         extra = JobKey("~", "~") if graph.level is GraphLevel.JOB else "~"
         wider = replace(given, nodes=graph.nodes | {extra})
@@ -454,7 +472,7 @@ def test_build_graph_never_rekeys_through_graph_index_of(monkeypatch, min_suppor
 # --- edge keys built on read --------------------------------------------------
 
 def eager_edges(idx):
-    """The key tuples and edge dict of an index, as they were built eagerly."""
+    """The edge keys and edge dict of an index, built eagerly from its arrays."""
     key = idx.nodes.__getitem__
     keys = tuple(zip(map(key, idx.src.tolist()), map(key, idx.dst.tolist())))
     return keys, dict(zip(keys, idx.weight.tolist()))
@@ -478,10 +496,10 @@ def test_edge_keys_read_as_the_eager_ones(tmp_path_factory, seed, level, min_sup
     assert len(graph.edges) == len(edges) and graph.sparsity() == (
         len(edges) / len(graph.nodes) ** 2 if graph.nodes else 0.0
     )
-    assert idx.edges == keys == tuple(sorted(keys))
+    assert tuple(idx) == keys == tuple(sorted(keys))
     assert graph.edges == edges and edges == graph.edges
     assert list(graph.edges.items()) == list(edges.items())  # index order
-    assert graph.edges is graph.edges and idx.edges is idx.edges
+    assert graph.edges is idx and idx._map is idx._dict()
     assert sorted_edges(graph) == list(edges.items())
 
     keyed = HopGraph(level, graph.nodes, graph.node_support, edges)
@@ -491,7 +509,7 @@ def test_edge_keys_read_as_the_eager_ones(tmp_path_factory, seed, level, min_sup
         fewer = dict(list(edges.items())[1:])
         assert replace(graph, edges=fewer) != graph and graph.edges != fewer
         copy = replace(graph, edges=fewer)  # indexed from its own edges
-        assert copy.index.edges == tuple(fewer) and copy.index.weight.tolist() == list(fewer.values())
+        assert tuple(copy.index) == tuple(fewer) and copy.index.weight.tolist() == list(fewer.values())
     path = export_graph(graph, ExportFormat.CSV_EDGELIST, tmp_path_factory.mktemp("e") / "g.csv")
     back = import_graph_csv(path, level)
     assert back.edges == graph.edges and graph.edges == back.edges
@@ -502,7 +520,7 @@ def test_edge_keys_read_as_the_eager_ones(tmp_path_factory, seed, level, min_sup
 
 def test_graph_sweep_and_report_all_build_no_edge_key(tmp_path, monkeypatch):
     # Building, analysing and exporting a graph reads its id arrays only:
-    # no edge key tuple and no edge dict is made unless a key is read.
+    # the index's edge dict is not made unless a key is read, then once.
     spec = GeneratorSpec(seed=5, n_users=300)
     generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
     profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
@@ -510,8 +528,7 @@ def test_graph_sweep_and_report_all_build_no_edge_key(tmp_path, monkeypatch):
     cfg = config(str(spec.curr_date), min_support=1)
     hops, _ = extract_all_hops(active, cfg)
     calls = Counter()
-    monkeypatch.setattr(GraphIndex, "_edge_keys", counting(calls, "key tuples", GraphIndex._edge_keys))
-    monkeypatch.setattr(EdgeMap, "_build", counting(calls, "edge dict", EdgeMap._build))
+    monkeypatch.setattr(GraphIndex, "_build", counting(calls, "edge dict", GraphIndex._build))
 
     reports.write_all_reports(profiles, cfg, tmp_path / "out")
     graphs = []
@@ -536,9 +553,10 @@ def test_graph_sweep_and_report_all_build_no_edge_key(tmp_path, monkeypatch):
 
     graph = graphs[0]
     first = next(iter(graph.edges))
-    assert graph.edges[first] == graph.index.weight[0] and graph.index.edges[0] == first
-    assert dict(graph.edges) == eager_edges(graph.index)[1]
-    assert calls == Counter({"key tuples": 1, "edge dict": 1})
+    assert graph.edges[first] == graph.index.weight[0] and tuple(graph.index)[0] == first
+    assert dict(graph.edges) == eager_edges(graph.index)[1] and first in graph.edges
+    assert list(graph.edges.values()) == graph.index.weight.tolist()
+    assert calls == Counter({"edge dict": 1})
 
 
 # --- the edge-cursor Tarjan against the frame loop ----------------------------

@@ -26,7 +26,7 @@ from talentflow.graphalgo import (
 from talentflow.hopgraph import GraphLevel, HopGraph, build_graph
 from talentflow.hops import extract_all_hops
 from talentflow.ingest import filter_active, ingest_profiles
-from talentflow.model import run_starts
+from talentflow.model import PAGERANK_ITERATION_LIMIT, run_starts
 from talentflow.synthgen import GeneratorSpec, generate
 from helpers import config
 
@@ -203,6 +203,21 @@ def test_default_cap_converges_the_slowest_graph():
         bound = 1 + math.log(cfg.pagerank_tol / 2) / math.log(1 - cfg.teleport_prob)
         assert cfg.pagerank_iteration_cap >= math.ceil(bound)
     assert CFG.pagerank_iteration_cap == 119
+
+
+def test_a_tiny_teleport_caps_pagerank_at_the_limit():
+    # ln(1 - teleport) used to give 19,113,820 steps at 1e-6 and divide by
+    # zero at 1e-17, where 1 - teleport rounds to 1.
+    assert config("2016-06", teleport_prob=0.001).pagerank_iteration_cap == 19_106
+    assert PAGERANK_ITERATION_LIMIT > 19_106
+    for teleport in (1e-6, 1e-15, 1e-17, 5e-324):
+        cfg = config("2016-06", teleport_prob=teleport)
+        assert cfg.pagerank_iteration_cap == PAGERANK_ITERATION_LIMIT
+        explicit = config("2016-06", teleport_prob=teleport, pagerank_max_iter=50_000)
+        assert explicit.pagerank_iteration_cap == 50_000
+    g = make_graph(3, [(0, 1, 1), (1, 0, 1), (2, 0, 1)])
+    table = weighted_pagerank(g, config("2016-06", teleport_prob=1e-17))
+    assert not table.converged and table.iterations == PAGERANK_ITERATION_LIMIT
 
 
 @given(st.integers(0, 2**32 - 1))

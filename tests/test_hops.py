@@ -2,8 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from talentflow.hops import HopDiagnostics, HopKind, classify_hop, extract_hops
-from talentflow.model import months_between
+from talentflow.hops import HopKind, classify_hop, extract_hops
+from talentflow.model import StintDrops, months_between
 from helpers import dm, job, profile, random_profile
 
 CURR = dm("2016-06")
@@ -108,7 +108,7 @@ def test_open_job_is_only_source_when_not_overlapping():
 
 
 def test_invalid_period_skipped_and_counted():
-    diag = HopDiagnostics()
+    diag = StintDrops()
     p = profile(jobs=[
         job("a", "x", "i", "2012-01", "2010-01"),  # reversed
         job("b", "y", "i", "2012-01", "2013-01"),

@@ -31,7 +31,6 @@ from talentflow import model, reports
 from talentflow.hopgraph import GraphLevel, HopGraph, build_graph
 from talentflow.hops import (
     Hop,
-    HopDiagnostics,
     HopKind,
     HopTable,
     classify_hop,
@@ -92,7 +91,7 @@ def ref_extract_hops(profile, curr_date, diag):
 
 
 def ref_extract_all_hops(profiles, cfg):
-    diag = HopDiagnostics()
+    diag = StintDrops()
     out = []
     for p in profiles:
         out.extend(ref_extract_hops(p, cfg.curr_date, diag))
