@@ -35,7 +35,6 @@ from .model import (
     AnalysisConfig,
     DateMonth,
     ProfileTable,
-    StintDrops,
     StintTable,
     UserProfile,
 )
@@ -69,8 +68,9 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
-def _load(args) -> tuple[ProfileTable, AnalysisConfig]:
-    """The active profiles and the run's config; no active profile raises ValueError."""
+def _load(args) -> tuple[StintTable, AnalysisConfig]:
+    """The active profiles' stint table at the run's date and the run's config,
+    the notes on its dropped stints printed; no active profile raises ValueError."""
     profiles, report = ingest_profiles(args.input)
     active = filter_active(profiles)
     if not len(active):
@@ -86,15 +86,15 @@ def _load(args) -> tuple[ProfileTable, AnalysisConfig]:
         teleport_prob=args.teleport,
         group_bin_width_years=args.bin_years,
     )
-    return active, config
-
-
-def _load_stints(args) -> tuple[StintTable, AnalysisConfig]:
-    """_load's active profiles as their stint table at the run's date, with
-    the notes on the stints it drops printed (see _warn_dropped)."""
-    active, config = _load(args)
-    stints = StintTable.of(active, config.curr_date)
-    _warn_dropped(stints.drops, config)
+    del profiles  # only the active profiles' stints are read
+    stints = StintTable.of(active, curr)
+    drops = stints.drops
+    if drops.future_jobs or drops.invalid_period_jobs:
+        print(f"skipped {drops.future_jobs} jobs starting after {curr} and "
+              f"{drops.invalid_period_jobs} jobs with start > end", file=sys.stderr)
+    if drops.negative_experience_jobs:
+        print(f"{drops.negative_experience_jobs} usable jobs ended before graduation; "
+              "they have no work experience", file=sys.stderr)
     return stints, config
 
 
@@ -111,7 +111,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_hops(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     hops, _ = extract_all_hops(stints, config)
     rows = [
         [h.user_id, h.source.title, h.source.organization, h.source.industry,
@@ -129,15 +129,6 @@ def _cmd_hops(args) -> int:
     return 0
 
 
-def _warn_dropped(drops: StintDrops, config: AnalysisConfig) -> None:
-    if drops.future_jobs or drops.invalid_period_jobs:
-        print(f"skipped {drops.future_jobs} jobs starting after {config.curr_date} and "
-              f"{drops.invalid_period_jobs} jobs with start > end", file=sys.stderr)
-    if drops.negative_experience_jobs:
-        print(f"{drops.negative_experience_jobs} usable jobs ended before graduation; "
-              "they have no work experience", file=sys.stderr)
-
-
 def _cmd_metrics_cohorts(args) -> int:
     axes = []
     for name in args.axes.split(","):
@@ -147,7 +138,7 @@ def _cmd_metrics_cohorts(args) -> int:
         axes.append(_AXIS_NAMES[name])
     if not 1 <= len(axes) <= 2:
         raise ValueError("pass one or two cohort axes")
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     hops, _ = extract_all_hops(stints, config)
     index = CorpusIndex.build(stints, config)
     stats = external_hop_fraction(hops, axes, index, stints.source)
@@ -160,7 +151,7 @@ def _cmd_metrics_cohorts(args) -> int:
 
 
 def _cmd_metrics_levels(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     index = CorpusIndex.build(stints, config)
     rows = []
     for key in sorted(index.wk_exp_by_orgjob):
@@ -183,7 +174,7 @@ def _records(stints, config):
 
 
 def _cmd_metrics_promotions(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     summary = promotion_summary(_records(stints, config))
     reports.write_promotion_table(summary, Path(args.out))
     print(args.out)
@@ -191,7 +182,7 @@ def _cmd_metrics_promotions(args) -> int:
 
 
 def _cmd_metrics_stay(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     bins = promotion_by_stay(_records(stints, config), args.stay_bin_months, config)
     reports.write_stay_analysis(bins, Path(args.out))
     print(args.out)
@@ -215,7 +206,7 @@ def _build_level_graph(args, stints, config):
 
 
 def _cmd_graph_build(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     graph = _build_level_graph(args, stints, config)
     export_graph(graph, ExportFormat(args.format), args.out)
     print(args.out)
@@ -223,7 +214,7 @@ def _cmd_graph_build(args) -> int:
 
 
 def _cmd_graph_analyze(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     graph = _build_level_graph(args, stints, config)
     table = centrality(graph, _METRICS[args.metric], config)
     reports.write_top_k([table], GraphLevel(args.level), Path(args.out), args.top)
@@ -247,14 +238,14 @@ def _emit_row(out: str | None, header: list[str], row: list) -> None:
 
 
 def _cmd_graph_components(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     graph = _build_level_graph(args, stints, config)
     _emit_row(args.out, reports.GRAPH_STATS_HEADER, reports.graph_stats_row(args.level, graph))
     return 0
 
 
 def _cmd_graph_powerlaw(args) -> int:
-    stints, config = _load_stints(args)
+    stints, config = _load(args)
     graph = _build_level_graph(args, stints, config)
     table = centrality(graph, _METRICS[args.metric], config)
     if args.metric == "pagerank":
@@ -289,11 +280,9 @@ def _cmd_report_all(args) -> int:
     out_dir = args.out_dir or os.environ.get("TALENTFLOW_OUT_DIR")
     if not out_dir:
         raise ValueError("pass --out-dir or set TALENTFLOW_OUT_DIR")
-    active, config = _load(args)
-    drops = StintDrops()
+    stints, config = _load(args)
     unconverged: list[GraphLevel] = []
-    written = reports.write_all_reports(active, config, out_dir, drops, unconverged)
-    _warn_dropped(drops, config)
+    written = reports.write_all_reports(stints, config, out_dir, unconverged)
     for level in unconverged:
         print(f"{_PAGERANK_WARNING} ({level.value} graph)", file=sys.stderr)
     for path in written:

@@ -15,12 +15,13 @@ model.sort_order, and a comparison of neighbouring rows. The
 result is a HopTable, integer columns that point into the stint table; it
 is also a read-only sequence of Hop objects, each built only when it is
 read. Functions that take hops accept the table or any iterable of Hop
-objects (see HopTable.of).
+objects (see HopTable.of). No function here counts dropped stints: that
+is StintTable.of's frozen drops, which extract_all_hops returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -167,22 +168,14 @@ class HopTable(RowViews):
         return f"HopTable({len(self)} hops over {len(self.stints)} stints)"
 
 
-def extract_hops(
-    profile: UserProfile,
-    curr_date: DateMonth,
-    diag: StintDrops | None = None,
-) -> list[Hop]:
+def extract_hops(profile: UserProfile, curr_date: DateMonth) -> list[Hop]:
     """Derive the hops of one profile, in chronological order.
 
-    Only the stints usable_stints keeps take part (the table's stint counts
-    are added to diag when given); an overlapping adjacent pair emits
-    nothing but the chain continues with the next job. A zero gap (dest
-    starts the month the source ends) is a hop.
+    Only the stints usable_stints keeps take part; an overlapping adjacent
+    pair emits nothing but the chain continues with the next job. A zero gap
+    (dest starts the month the source ends) is a hop.
     """
-    stints = StintTable.of([profile], curr_date)
-    if diag is not None:
-        diag.add(stints.drops)
-    return list(HopTable.of_stints(stints))
+    return list(HopTable.of_stints(StintTable.of([profile], curr_date)))
 
 
 def extract_all_hops(
@@ -191,7 +184,7 @@ def extract_all_hops(
     """Extract hops for a whole corpus, profile order preserved.
 
     Takes the profiles (a ProfileTable or UserProfile objects) or their
-    StintTable; the diagnostics are the table's stint counts.
+    StintTable; returns the hops and the table's frozen stint counts.
     """
     stints = StintTable.of(profiles, config.curr_date)
-    return HopTable.of_stints(stints), replace(stints.drops)
+    return HopTable.of_stints(stints), stints.drops

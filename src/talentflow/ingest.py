@@ -73,6 +73,7 @@ from .model import (
     InvalidLabelError,
     ProfileColumns,
     ProfileTable,
+    StintTable,
     UserProfile,
     cell_counts,
     label_ranks,
@@ -524,11 +525,17 @@ def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:
     return profiles, report
 
 
-def filter_active(profiles: Iterable[UserProfile]) -> ProfileTable:
-    """Keep exactly the active profiles, preserving order, as a ProfileTable.
+def filter_active(profiles: Iterable[UserProfile] | StintTable) -> ProfileTable | StintTable:
+    """Keep exactly the active profiles, preserving order, as a ProfileTable,
+    or a StintTable's as their stint table at its date.
 
     A table whose profiles are all active is returned as is.
     """
+    if isinstance(profiles, StintTable):
+        active = profiles.source.is_active
+        if active.all():
+            return profiles
+        return StintTable.of(profiles.source.take(active), profiles.curr_date)
     table = ProfileTable.of(profiles)
     active = table.is_active
     return table if active.all() else table.take(active)

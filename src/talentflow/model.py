@@ -1,11 +1,10 @@
 """Core data model: month-granular dates, jobs, profiles, and run configuration.
 
 All durations are carried as signed month counts internally; reports convert
-to years as months/12. Every type here except the StintDrops counters is
-immutable after construction and safe to share across threads (a
-ProfileTable caches its views once, on first iteration, and any thread's
-cache is as good as another's); dates, records and profiles are slotted,
-so no attribute can be added either.
+to years as months/12. Every type here is immutable after construction
+and safe to share across threads (a ProfileTable caches its views once, on
+first iteration, and any thread's cache is as good as another's); dates,
+records and profiles are slotted, so no attribute can be added either.
 JobKey and OrgJobKey are named tuples that hash, compare and sort like plain
 (title, ...) tuples: JobKey("a", "b") == OrgJobKey("a", "b"), so the two
 must never key one dict.
@@ -20,9 +19,10 @@ views of a packed list equal its objects but are not them.
 
 usable_stints is the one rule for which stints count. StintTable applies it
 once to a whole profile table at one analysis date, as a mask over the job
-columns, and keeps one row per usable stint: hop extraction, the corpus
-index, graph holder support and the distributions all read that table.
-Every function that takes profiles also takes a StintTable in their place.
+columns, and keeps one row per usable stint and the StintDrops counts it
+makes of the others: hop extraction, the corpus index, graph holder
+support, the distributions and the reports all read that table. Every
+function that takes profiles also takes a StintTable in their place.
 """
 
 from __future__ import annotations
@@ -493,20 +493,15 @@ class ProfileColumns:
         )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class StintDrops:
     """Stint counts by reason: the stints usable_stints left out, and the
     usable ones that ended before graduation, which only the work-experience
-    aggregates leave out."""
+    aggregates leave out. StintTable.of counts them once per table."""
 
     future_jobs: int = 0  # starts after the analysis date
     invalid_period_jobs: int = 0  # ends before it starts
     negative_experience_jobs: int = 0  # usable, but ended before graduation
-
-    def add(self, other: "StintDrops") -> None:
-        self.future_jobs += other.future_jobs
-        self.invalid_period_jobs += other.invalid_period_jobs
-        self.negative_experience_jobs += other.negative_experience_jobs
 
 
 def _resolve_ends(end: np.ndarray, curr_date: DateMonth) -> np.ndarray:
@@ -515,21 +510,19 @@ def _resolve_ends(end: np.ndarray, curr_date: DateMonth) -> np.ndarray:
 
 
 def usable_stints(
-    start: np.ndarray, end: np.ndarray, curr_date: DateMonth, drops: StintDrops
-) -> np.ndarray:
+    start: np.ndarray, end: np.ndarray, curr_date: DateMonth
+) -> tuple[np.ndarray, int, int]:
     """The one rule for which stints count: a mask over start/end ordinals.
 
     A stint counts when it starts no later than the analysis date and does
     not end before it starts (an open end, NO_DATE, resolves to the analysis
-    date). Every stage reads stints through here, by way of StintTable. The
-    stints left out are counted in drops; one that fails both tests counts
-    as a future start.
+    date). Every stage reads stints through here, by way of StintTable.
+    Returns the mask and how many stints start after the analysis date and
+    end before they start; one that fails both tests counts as a future start.
     """
     future = start > curr_date.ordinal
     invalid = (_resolve_ends(end, curr_date) < start) & ~future
-    drops.future_jobs += int(np.count_nonzero(future))
-    drops.invalid_period_jobs += int(np.count_nonzero(invalid))
-    return ~(future | invalid)
+    return ~(future | invalid), int(np.count_nonzero(future)), int(np.count_nonzero(invalid))
 
 
 NO_EXPERIENCE = -1  # StintTable.work_exp where work experience is undefined
@@ -595,13 +588,13 @@ class StintTable:
                 )
             return profiles
         source = ProfileTable.of(profiles)
-        drops = StintDrops()
-        rows = np.flatnonzero(usable_stints(source.start, source.end, curr_date, drops))
+        usable, future, invalid = usable_stints(source.start, source.end, curr_date)
+        rows = np.flatnonzero(usable)
         end = _resolve_ends(source.end[rows], curr_date)
         grad = source.grad[source.user[rows]]
         work_exp = work_experience_months(end, grad)
-        ended_before_grad = (grad != NO_DATE) & (work_exp == NO_EXPERIENCE)
-        drops.negative_experience_jobs = int(np.count_nonzero(ended_before_grad))
+        ended_before_grad = np.count_nonzero((grad != NO_DATE) & (work_exp == NO_EXPERIENCE))
+        drops = StintDrops(future, invalid, int(ended_before_grad))
         return _stint_table(curr_date, source, rows, end, work_exp, drops)
 
     @classmethod
@@ -748,21 +741,28 @@ def _pack(columns: Sequence[np.ndarray], lows: list[int], spans: list[int]) -> n
     return key
 
 
+def _sort_key(columns: Sequence[np.ndarray]) -> np.ndarray | None:
+    """The one array the rows sort by: a single column as it is, two or more
+    packed into one int64 (_pack); None when their spans multiply to 2**63
+    or more, or the columns are empty."""
+    if len(columns) == 1:
+        return columns[0]
+    packing = _spans(columns)
+    return None if packing is None else _pack(columns, *packing)
+
+
 def sort_order(*columns: np.ndarray, stable: bool = True) -> np.ndarray:
     """The rows in the order np.lexsort(columns[::-1]) gives: by the first
     column, ties by the next, and so on, equal rows in row order.
 
     Two or more integer or bool columns are packed into one int64 key
-    (_pack) and argsorted, which costs a fraction of lexsort; a stable sort
-    also runs faster on rows already in runs. Columns whose spans multiply to
-    2**63 or more fall back to lexsort. With stable=False equal rows come in
-    any order.
+    (_sort_key) and argsorted, which costs a fraction of lexsort; a stable
+    sort also runs faster on rows already in runs. Columns whose spans
+    multiply to 2**63 or more fall back to lexsort. With stable=False equal
+    rows come in any order.
     """
-    if len(columns) == 1:
-        key = columns[0]
-    elif (packing := _spans(columns)) is not None:
-        key = _pack(columns, *packing)
-    else:
+    key = _sort_key(columns)
+    if key is None:
         return np.lexsort(columns[::-1])
     return np.argsort(key, kind="stable" if stable else None)
 
@@ -772,16 +772,23 @@ def groups(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (order, first, size): the row indices in group order, where each
     group starts in order, and each group's row count. Rows within a group
-    come in any order. One sort_order stands in for np.unique, which imports
-    numpy.ma on its first call (about 2 MB of peak memory).
+    come in any order. The rows are argsorted by their _sort_key, whose runs
+    are the groups; only sort_order's lexsort fallback compares the columns
+    one by one. This stands in for np.unique, which imports numpy.ma on its
+    first call (about 2 MB of peak memory).
     """
-    order = sort_order(*columns, stable=False)
-    new = np.zeros(len(order), bool)
-    new[:1] = True
-    for c in columns:
-        ordered = c[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    first = np.flatnonzero(new)
+    key = _sort_key(columns)
+    if key is None:
+        order = sort_order(*columns)
+        new = np.zeros(len(order), bool)
+        new[:1] = True
+        for c in columns:
+            ordered = c[order]
+            new[1:] |= ordered[1:] != ordered[:-1]
+        first = np.flatnonzero(new)
+    else:
+        order = np.argsort(key)
+        first = run_starts(key[order])
     return order, first, np.diff(np.append(first, len(order)))
 
 
@@ -883,7 +890,7 @@ class AnalysisConfig:
                 raise ValueError(f"{name} must be a positive integer")
         if not 0.0 < self.teleport_prob < 1.0:
             raise ValueError("teleport_prob must lie in (0, 1)")
-        if self.pagerank_tol <= 0.0:
+        if not self.pagerank_tol > 0.0:  # NaN too
             raise ValueError("pagerank_tol must be positive")
         max_iter = self.pagerank_max_iter
         if max_iter is not None and (not is_int(max_iter) or max_iter < 1):

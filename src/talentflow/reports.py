@@ -14,6 +14,9 @@ drops nine CSVs into the output directory:
     centrality_ccdf_job.csv  CCDF per centrality metric, job graph
     top20_job.csv            top-20 job nodes per centrality metric
     top20_org.csv            top-20 organizations per centrality metric
+
+It takes the profiles or their StintTable and counts no dropped stints: the
+CLI's loader prints the table's drops before any report is written.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .metrics import (
     promotion_by_stay,
     promotion_summary,
 )
-from .model import AnalysisConfig, StintDrops, StintTable, UserProfile, cell_counts, year_bins
+from .model import AnalysisConfig, StintTable, UserProfile, cell_counts, year_bins
 
 TOP_K = 20
 STAY_BIN_MONTHS = 12
@@ -250,18 +253,17 @@ COHORT_CROSSES = (
 
 
 def write_all_reports(
-    profiles: Iterable[UserProfile],
+    profiles: Iterable[UserProfile] | StintTable,
     config: AnalysisConfig,
     out_dir: str | Path,
-    drops: StintDrops | None = None,
     unconverged: list[GraphLevel] | None = None,
 ) -> list[Path]:
     """Run the full pipeline on ingested profiles and write all nine reports.
 
-    profiles is a ProfileTable or UserProfile objects. The active profiles'
-    stints are read once, into one StintTable that every stage shares; its
-    stint counts are added to drops when given. The graph levels whose
-    PageRank hit the config's pagerank_iteration_cap are appended to
+    profiles is a ProfileTable, UserProfile objects or their StintTable at
+    the config's date. The active profiles' stints are read once, into one
+    StintTable that every stage shares (filter_active). The graph levels
+    whose PageRank hit the config's pagerank_iteration_cap are appended to
     unconverged when given.
     Raises ValueError, before writing anything, when no profile is active
     and when min_support pruning removes every node of a graph level that
@@ -272,13 +274,13 @@ def write_all_reports(
     both graphs come first, so the refusals precede any write; then the
     distributions, the cohort crosses over the corpus index, and the
     promotion, level-gain and stay reports over the level gains. All of
-    those are gone before the centrality stage and the four graph
+    those made here are gone before the centrality stage and the four graph
     reports, which read only the two graphs. A LevelGainTable holds its
     HopTable, that its StintTable, and that the active profiles, so none
     of them is freed while the level gains live.
     """
     out_dir = Path(out_dir)
-    job_graph, org_graph, written = _write_stint_reports(profiles, config, out_dir, drops)
+    job_graph, org_graph, written = _write_stint_reports(profiles, config, out_dir)
     job_tables = centrality_tables(job_graph, config)
     org_tables = centrality_tables(org_graph, config)
     if unconverged is not None:
@@ -296,23 +298,20 @@ def write_all_reports(
 
 
 def _write_stint_reports(
-    profiles: Iterable[UserProfile],
+    profiles: Iterable[UserProfile] | StintTable,
     config: AnalysisConfig,
     out_dir: Path,
-    drops: StintDrops | None,
 ) -> tuple[HopGraph, HopGraph, list[Path]]:
     """write_all_reports' refusals and its first five reports; returns both graphs.
 
     Every table made here dies when it returns.
     """
-    active = filter_active(profiles)
+    stints = StintTable.of(filter_active(profiles), config.curr_date)
+    active = stints.source
     if not len(active):
         raise ValueError("no active profiles: reports need one with an education entry and a skill")
 
-    stints = StintTable.of(active, config.curr_date)
-    if drops is not None:
-        drops.add(stints.drops)
-    hops, _diag = extract_all_hops(stints, config)
+    hops, _drops = extract_all_hops(stints, config)
     job_graph = build_graph(hops, GraphLevel.JOB, config, profiles=stints)
     org_graph = build_graph(hops, GraphLevel.ORG, config, profiles=stints)
     # A level with moves that pruning left without a node is refused; a

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from talentflow.hopgraph import HopGraph, NodeKey
 from talentflow.model import AnalysisConfig, DateMonth, JobRecord, StintDrops, UserProfile
@@ -32,29 +33,30 @@ def profile(user_id="u1", grad=None, skills=("python",), education=1, jobs=()) -
     )
 
 
-def usable_jobs(
-    profile: UserProfile, curr_date: DateMonth, drops: StintDrops | None = None
-) -> list[JobRecord]:
+def usable_jobs(profile: UserProfile, curr_date: DateMonth) -> list[JobRecord]:
     """The profile's stints that count, in listing order: model.usable_stints
     on objects, the reference the tests read stints through.
 
     A stint counts when it starts no later than the analysis date and does
-    not end before it starts. When drops is given, the others are counted
-    there by reason, one that fails both tests as a future start, and so are
-    the usable ones that ended before graduation, as StintTable.drops has it.
+    not end before it starts.
     """
-    drops = StintDrops() if drops is None else drops
-    usable = []
-    for j in profile.jobs:
-        if j.start > curr_date:
-            drops.future_jobs += 1
-        elif not j.has_valid_period(curr_date):
-            drops.invalid_period_jobs += 1
-        else:
-            usable.append(j)
-            if profile.grad_date is not None and j.end_or(curr_date) < profile.grad_date:
-                drops.negative_experience_jobs += 1
-    return usable
+    return [j for j in profile.jobs if j.start <= curr_date and j.has_valid_period(curr_date)]
+
+
+def stint_drops(profiles: Iterable[UserProfile], curr_date: DateMonth) -> StintDrops:
+    """The reference of StintTable.drops over the profiles: the stints
+    usable_jobs leaves out by reason, one that fails both tests as a future
+    start, and the usable ones that ended before graduation."""
+    future = invalid = negative = 0
+    for p in profiles:
+        for j in p.jobs:
+            if j.start > curr_date:
+                future += 1
+            elif not j.has_valid_period(curr_date):
+                invalid += 1
+            elif p.grad_date is not None and j.end_or(curr_date) < p.grad_date:
+                negative += 1
+    return StintDrops(future, invalid, negative)
 
 
 

@@ -287,6 +287,23 @@ def test_a_graph_that_pruning_empties_fails_every_analysis(tmp_path, capsys):
     assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
 
 
+def test_report_all_notes_dropped_stints_before_it_refuses(tmp_path, capsys):
+    # report-all loads as every command does: the drop note comes first,
+    # then the one error line, as graph build prints them.
+    corpus = tmp_path / "c.jsonl"
+    generate(GeneratorSpec(seed=3, n_users=300), corpus, tmp_path / "t.json")
+    flags = ["--input", str(corpus), "--curr-date", "2012-01", "--min-support", "100000"]
+    err = [
+        "skipped 563 jobs starting after 2012-01 and 0 jobs with start > end\n",
+        "error: ValueError: job graph is empty after pruning; lower --min-support\n",
+    ]
+    for command in (["report-all", "--out-dir", str(tmp_path / "out")],
+                    ["graph", "build", "--level", "job", "--out", str(tmp_path / "o.csv")]):
+        assert main(command + flags) == 1, command
+        assert capsys.readouterr().err == "".join(err), command
+    assert not (tmp_path / "out").exists() and not (tmp_path / "o.csv").exists()
+
+
 def test_a_level_without_moves_fails_naming_the_cause(tmp_path, capsys):
     job = {"title": "a", "organization": "x", "industry": "i", "start": "2010-01", "end": "2011-01"}
     record = {"user_id": "u1", "grad_date": "2009-06", "education_count": 1, "skills": ["s"],

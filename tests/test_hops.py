@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from talentflow.hops import HopKind, classify_hop, extract_hops
-from talentflow.model import StintDrops, months_between
+from talentflow.model import StintTable, months_between
 from helpers import dm, job, profile, random_profile
 
 CURR = dm("2016-06")
@@ -108,14 +108,13 @@ def test_open_job_is_only_source_when_not_overlapping():
 
 
 def test_invalid_period_skipped_and_counted():
-    diag = StintDrops()
     p = profile(jobs=[
         job("a", "x", "i", "2012-01", "2010-01"),  # reversed
         job("b", "y", "i", "2012-01", "2013-01"),
         job("c", "z", "i", "2013-02", "2014-01"),
     ])
-    hops = extract_hops(p, CURR, diag)
-    assert diag.invalid_period_jobs == 1
+    hops = extract_hops(p, CURR)
+    assert StintTable.of([p], CURR).drops.invalid_period_jobs == 1
     assert [(h.source.title, h.dest.title) for h in hops] == [("b", "c")]
 
 

@@ -4,7 +4,7 @@ import re
 import string
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,8 @@ from talentflow.model import (
     InvalidLabelError,
     JobKey,
     OrgJobKey,
+    StintDrops,
+    StintTable,
     cell_counts,
     distinct_counts,
     groups,
@@ -243,6 +245,8 @@ def test_sort_order_falls_back_when_spans_pass_2_63():
 
 
 @given(key_columns())
+@example([np.array([-(2**62), 2**62, 0, 2**62, 2**62], np.int64),  # spans past 2**63
+          np.array([True, False, True, False, False])])
 def test_groups_partition_as_sorted_tuples(columns):
     rows = row_tuples(columns)
     order, first, size = groups(*columns)
@@ -310,3 +314,34 @@ def test_analysis_config_refuses_a_setting_that_is_not_a_positive_int(field, val
     with pytest.raises(ValueError, match=f"^{field} must be a positive integer$"):
         AnalysisConfig(DateMonth(2016, 6), **{field: value})
     assert getattr(AnalysisConfig(DateMonth(2016, 6), **{field: 3}), field) == 3
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_analysis_config_refuses_a_pagerank_tol_that_is_not_positive(tol):
+    # NaN used to pass (nan <= 0.0 is false) and fail later, in
+    # pagerank_iteration_cap, converting NaN to an int.
+    with pytest.raises(ValueError, match="^pagerank_tol must be positive$"):
+        AnalysisConfig(DateMonth(2016, 6), pagerank_tol=tol)
+
+
+def test_stint_drops_are_one_frozen_value_only_model_makes():
+    # StintTable.of counts the dropped stints once; nothing adds to them later.
+    p = profile(grad="2012-01", jobs=[job("a", "x", "i", "2017-01"),
+                                      job("b", "x", "i", "2011-01", "2010-01"),
+                                      job("c", "x", "i", "2010-01", "2011-01")])
+    drops = StintTable.of([p], dm("2016-06")).drops
+    assert drops == StintDrops(future_jobs=1, invalid_period_jobs=1, negative_experience_jobs=1)
+    for name in ("future_jobs", "invalid_period_jobs", "negative_experience_jobs"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(drops, name, 0)
+    src = Path(__file__).resolve().parent.parent / "src" / "talentflow"
+    makers, takers = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "StintDrops" in (getattr(name, "id", None),
+                                                               getattr(name, "attr", None)):
+                makers.append(path.name)
+            if isinstance(node, ast.arg) and "StintDrops" in ast.unparse(node.annotation or node):
+                takers.append((path.name, node.arg))
+    assert set(makers) == {"model.py"} and takers == []

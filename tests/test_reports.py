@@ -3,7 +3,9 @@ import csv
 import pytest
 
 from talentflow.hops import HopKind
+from talentflow.ingest import ingest_profiles
 from talentflow.metrics import promotion_summary
+from talentflow.model import StintTable
 from talentflow.reports import (
     fmt,
     write_all_reports,
@@ -11,6 +13,7 @@ from talentflow.reports import (
     write_level_gain_hist,
     write_promotion_table,
 )
+from talentflow.synthgen import GeneratorSpec, generate
 from helpers import config, job, profile
 from test_metrics import make_record
 
@@ -104,3 +107,20 @@ def test_write_all_reports_keeps_the_empty_graph_of_a_level_without_moves(tmp_pa
     write_all_reports(profiles, config("2015-01", min_support=1), tmp_path)
     org = rows_of(tmp_path / "graph_stats.csv")[2]
     assert org[:3] == ["org", "0", "0"]
+
+
+def test_write_all_reports_reads_a_stint_table_as_its_profiles(tmp_path):
+    # A StintTable over active and inactive profiles gives the reports of
+    # its active profiles, as their ProfileTable does.
+    spec = GeneratorSpec(seed=4, n_users=300, active_rate=0.8)
+    generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
+    profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
+    cfg = config(str(spec.curr_date), min_support=1, cohort_min_support=5)
+    stints = StintTable.of(profiles, cfg.curr_date)
+    assert not profiles.is_active.all()
+    want = write_all_reports(profiles, cfg, tmp_path / "profiles")
+    got = write_all_reports(stints, cfg, tmp_path / "stints")
+    assert [p.name for p in got] == [p.name for p in want]
+    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+    with pytest.raises(ValueError, match="analysis date"):
+        write_all_reports(stints, config("2015-01"), tmp_path / "other")

@@ -66,7 +66,7 @@ from talentflow.model import (
 from talentflow.ingest import filter_active, ingest_profiles
 from talentflow.reports import write_distributions, write_level_gain_hist
 from talentflow.synthgen import GeneratorSpec, generate
-from helpers import config, counting, usable_jobs
+from helpers import config, counting, stint_drops, usable_jobs
 
 
 # --- reference implementations ---------------------------------------------
@@ -78,8 +78,8 @@ def ref_sort_key(curr_date):
     return key
 
 
-def ref_extract_hops(profile, curr_date, diag):
-    jobs = sorted(usable_jobs(profile, curr_date, diag), key=ref_sort_key(curr_date))
+def ref_extract_hops(profile, curr_date):
+    jobs = sorted(usable_jobs(profile, curr_date), key=ref_sort_key(curr_date))
     out = []
     for source, dest in zip(jobs, jobs[1:]):
         kind = classify_hop(source, dest, curr_date)
@@ -91,11 +91,10 @@ def ref_extract_hops(profile, curr_date, diag):
 
 
 def ref_extract_all_hops(profiles, cfg):
-    diag = StintDrops()
     out = []
     for p in profiles:
-        out.extend(ref_extract_hops(p, cfg.curr_date, diag))
-    return out, diag
+        out.extend(ref_extract_hops(p, cfg.curr_date))
+    return out, stint_drops(profiles, cfg.curr_date)
 
 
 def ref_means(values_by_key):
@@ -105,10 +104,9 @@ def ref_means(values_by_key):
 def ref_index(profiles, cfg):
     wk_job, age_job, wk_org = defaultdict(list), defaultdict(list), defaultdict(list)
     supporters = defaultdict(set)
-    drops = StintDrops()
     negative = 0
     for p in profiles:
-        for j in usable_jobs(p, cfg.curr_date, drops):
+        for j in usable_jobs(p, cfg.curr_date):
             age_job[j.key].append(job_age(j, cfg))
             wk = work_experience(p, j, cfg.curr_date)
             if wk is None:
@@ -118,6 +116,7 @@ def ref_index(profiles, cfg):
             wk_job[j.key].append(wk)
             wk_org[j.org_key].append(wk)
             supporters[j.org_key].add(p.user_id)
+    drops = stint_drops(profiles, cfg.curr_date)
     return CorpusIndex(
         config=cfg,
         wk_exp_by_jobkey=ref_means(wk_job),
@@ -525,18 +524,24 @@ def count_constructions(monkeypatch, calls, *classes):
 def test_write_all_reports_reads_each_profile_once_and_builds_no_objects(tmp_path, monkeypatch):
     # Ingest fills the profile table's columns and the stint rule runs once,
     # as one mask over all of them: no stage builds a profile, job, hop or
-    # level-gain object.
-    spec = GeneratorSpec(seed=5, n_users=300)
+    # level-gain object. Given a StintTable over active and inactive
+    # profiles, the rule runs once more, over the active profiles alone.
+    spec = GeneratorSpec(seed=5, n_users=300, active_rate=0.9)
     generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
+    cfg = config(str(spec.curr_date))
     calls = Counter()
     monkeypatch.setattr(model, "usable_stints", counting(calls, "usable_stints",
                                                          model.usable_stints))
     count_constructions(monkeypatch, calls, UserProfile, JobRecord, Hop, LevelGainRecord)
     profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
-    drops = StintDrops()
-    reports.write_all_reports(profiles, config(str(spec.curr_date)), tmp_path / "out", drops)
+    reports.write_all_reports(profiles, cfg, tmp_path / "out")
     assert calls == Counter(usable_stints=1)
-    assert len(filter_active(profiles)) > 0 and drops.future_jobs == 0
+    stints = StintTable.of(profiles, cfg.curr_date)
+    calls.clear()
+    reports.write_all_reports(stints, cfg, tmp_path / "out")
+    assert calls == Counter(usable_stints=1)
+    assert len(filter_active(profiles)) > 0 and not profiles.is_active.all()
+    assert stints.drops.future_jobs == 0
 
 
 def test_graph_sweep_support_reads_the_hops_own_stints(tmp_path, monkeypatch):
