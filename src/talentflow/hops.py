@@ -28,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .model import (
+    ROW_DTYPE,
     AnalysisConfig,
     DateMonth,
     JobRecord,
@@ -89,10 +90,10 @@ class HopTable(RowViews):
     """
 
     stints: StintTable
-    src: np.ndarray  # intp
-    dst: np.ndarray  # intp
+    src: np.ndarray  # int32
+    dst: np.ndarray  # int32
     external: np.ndarray  # bool
-    stay: np.ndarray  # int64
+    stay: np.ndarray  # int32
 
     def __post_init__(self) -> None:
         read_only(self.src, self.dst, self.external, self.stay)
@@ -112,13 +113,13 @@ class HopTable(RowViews):
             [u for u in users for _ in (0, 1)],
             [j for h in hops for j in (h.source, h.dest)],
         )
-        src = np.arange(0, 2 * len(hops), 2)
+        src = np.arange(0, 2 * len(hops), 2, dtype=ROW_DTYPE)
         return cls(
             stints,
             src,
             src + 1,
             np.fromiter((h.kind is HopKind.EXTERNAL for h in hops), bool, len(hops)),
-            np.fromiter((h.duration_of_stay_months for h in hops), np.int64, len(hops)),
+            np.fromiter((h.duration_of_stay_months for h in hops), ROW_DTYPE, len(hops)),
         )
 
     @classmethod
@@ -137,8 +138,8 @@ class HopTable(RowViews):
         src, dst = a[is_hop], b[is_hop]
         return cls(
             stints,
-            src,
-            dst,
+            src.astype(ROW_DTYPE),
+            dst.astype(ROW_DTYPE),
             stints.org[src] != stints.org[dst],
             stints.end[src] - stints.start[src],
         )

@@ -32,8 +32,9 @@ builds them as views when one is read.
 A file is read in parts, cut at line starts: one per usable CPU (those
 os.sched_getaffinity allows), but no more than one per MiB. The caller
 reads the first part; each other part is read in a child process forked
-for it, which sends back its columns as packed int64 arrays, with its
-labels, months and counts, through a pipe. The parts are merged in input
+for it, which sends back its columns as packed arrays (int32 but for the
+exact int64 education counts; see model.ProfileColumns), with its labels,
+months and counts, through a pipe. The parts are merged in input
 order: a later part's labels are coded through the ids of the parts before
 it, which gives the ids one pass gives, and a user id that an earlier part
 holds is a DUPLICATE_ID. A child that fails, or sends a short result, has
@@ -343,7 +344,7 @@ def _repair_industries(
     # first of its run wins.
     best = sort_order(org, -votes, label_ranks(labels)[ind], stable=False)
     best = best[run_starts(org[best])]
-    canonical = np.zeros(len(labels), np.int64)
+    canonical = np.zeros(len(labels), industry.dtype)
     canonical[org[best]] = ind[best]
     want = canonical[organization]
     report.industry_repairs += int(np.count_nonzero(want != industry))
@@ -386,14 +387,13 @@ def _part_starts(path: str | Path) -> list[int]:
     return starts
 
 
-# A part as a child sends it: its user ids; its ProfileColumns.arrays() as
-# packed int64 bytes; its labels and month ordinals; and its record total and
-# rejection counts.
+# A part as a child sends it: its user ids; its ProfileColumns.arrays(); its
+# labels and month ordinals; and its record total and rejection counts.
 _Packed = tuple[list, list, list, list, int, dict]
 
 
 def _packed(columns: ProfileColumns, report: IngestReport) -> _Packed:
-    return (columns.user_id, [a.tobytes() for a in columns.arrays()], columns.labels,
+    return (columns.user_id, list(columns.arrays()), columns.labels,
             list(columns.months), report.total_records, report.rejection_reasons)
 
 
@@ -456,10 +456,7 @@ def _append(columns: ProfileColumns, report: IngestReport, part: _Packed) -> Non
     them, which gives the ids one pass over the whole file gives. A user id
     an earlier part holds is a DUPLICATE_ID.
     """
-    user_id, ints, labels, months, total, reasons = part
-    arrays = [np.frombuffer(b, np.int64) for b in ints]
-    ints.clear()  # the arrays hold the bytes they still need
-    code = np.array([columns.label(label) for label in labels], np.int64)
+    user_id, arrays, labels, months, total, reasons = part
     for ordinal in months:
         columns.months.setdefault(ordinal, DateMonth.of_ordinal(ordinal))
     report.total_records += total
@@ -473,9 +470,7 @@ def _append(columns: ProfileColumns, report: IngestReport, part: _Packed) -> Non
         skill_count, job_count = arrays[2], arrays[4]
         rows = (keep,) * 3 + (np.repeat(keep, skill_count), keep) + (np.repeat(keep, job_count),) * 5
         arrays = [a[r] for a, r in zip(arrays, rows)]
-    for i in (3, 5, 6, 7):  # skill, title, organization and industry ids
-        arrays[i] = code[arrays[i]]
-    columns.extend(user_id, arrays)
+    columns.extend(user_id, arrays, labels)
 
 
 def ingest_profiles(path: str | Path) -> tuple[ProfileTable, IngestReport]:

@@ -25,9 +25,9 @@ lists (HopTable.of, LevelGainTable.of). The per-user cohort values,
 graduation month and skill count, are columns of the ProfileTable given
 as profiles_by_id; each hop's user is joined to one row of it once. A
 mean stays an exact integer sum over a count until one division, so it is
-the same float Python's sum / len gives; bins use float64 floor division
-as the scalar definitions above do. Only per-key lookups (the CorpusIndex
-dicts, job_level) are dicts, one entry per distinct key.
+the same float Python's sum / len gives; bins are exact floor divisions
+of months by whole years (model.year_bins). Only per-key lookups (the
+CorpusIndex dicts, job_level) are dicts, one entry per distinct key.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 from .hops import Hop, HopKind, HopTable
 from .model import (
     NO_EXPERIENCE,
+    ROW_DTYPE,
     AnalysisConfig,
     DateMonth,
     JobKey,
@@ -137,10 +138,12 @@ def _means(keys: Sequence, codes: np.ndarray, values: np.ndarray) -> dict:
     """Mean value per key that occurs: an exact int sum over a count.
 
     The sums stay int64 and are divided once, as Python ints, so every
-    mean is the float sum(values) / len(values) gives.
+    mean is the float sum(values) / len(values) gives. The values are
+    summed as int64: np.add.at takes a path many times slower when it has
+    to cast them.
     """
     sums = np.zeros(len(keys), np.int64)
-    np.add.at(sums, codes, values)
+    np.add.at(sums, codes, values.astype(np.int64, copy=False))
     counts = np.bincount(codes, minlength=len(keys))
     return {
         keys[k]: total / n
@@ -215,11 +218,11 @@ class LevelGainTable(RowViews):
     """
 
     hops: HopTable
-    hop: np.ndarray  # intp
+    hop: np.ndarray  # int32
     source_level: np.ndarray  # float64
     dest_level: np.ndarray  # float64
     gain: np.ndarray  # float64
-    label: np.ndarray  # intp
+    label: np.ndarray  # int8
 
     def __post_init__(self) -> None:
         read_only(self.hop, self.source_level, self.dest_level, self.gain, self.label)
@@ -240,11 +243,11 @@ class LevelGainTable(RowViews):
 
         return cls(
             HopTable.of([r.hop for r in records]),
-            np.arange(n),
+            np.arange(n, dtype=ROW_DTYPE),
             floats("source_level_months"),
             floats("dest_level_months"),
             floats("gain_months"),
-            np.fromiter((LABELS.index(r.label) for r in records), np.intp, n),
+            np.fromiter((LABELS.index(r.label) for r in records), np.int8, n),
         )
 
     @property
@@ -293,9 +296,14 @@ def level_gains(hops: Iterable[Hop], index: CorpusIndex) -> LevelGainTable:
     hop = np.flatnonzero(supported[src_key] & supported[dst_key])
     src_level = level[src_key[hop]]
     dst_level = level[dst_key[hop]]
+    del src_key, dst_key
     gain = dst_level - src_level
-    label = np.where(gain > 0, 0, np.where(gain < 0, 1, 2))
-    return LevelGainTable(table, hop, src_level, dst_level, gain, label)
+    # Promotion (0) where the gain is positive, demotion (1) where negative,
+    # neutral (2) where neither.
+    label = np.full(len(hop), 2, np.int8)
+    label[gain > 0] = 0
+    label[gain < 0] = 1
+    return LevelGainTable(table, hop.astype(ROW_DTYPE), src_level, dst_level, gain, label)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,11 @@ A corpus is a ProfileTable: integer columns per user (id, graduation month,
 education count, skill ids) and per job (user, title, organization and
 industry label ids, start and end months). One builder, ProfileColumns,
 makes every table: ingest fills it straight from the parsed lines, and
-ProfileTable.of from a list of UserProfile objects. UserProfile and
+ProfileTable.of from a list of UserProfile objects. Every per-row column of
+the tables (label ids, key codes, user indices, job rows and month
+ordinals) is ROW_DTYPE, int32, which ProfileColumns chooses; only the
+education counts keep their exact int64 value, and keys packed from several
+columns (sort_order, groups, cell_counts) are int64. UserProfile and
 JobRecord objects are views a table builds only when one is read; the
 views of a packed list equal its objects but are not them.
 
@@ -82,9 +86,16 @@ def months_between(a: DateMonth, b: DateMonth) -> int:
     return b.ordinal - a.ordinal
 
 
-def year_bins(months: np.ndarray, width: float) -> np.ndarray:
-    """Per month count, k of its bin [k * width, (k + 1) * width) of years, months / 12."""
-    return np.floor_divide(months / 12.0, width).astype(np.int64)
+def year_bins(months: np.ndarray, width: int) -> np.ndarray:
+    """Per month count, k of its bin [k * width, (k + 1) * width) of years, months / 12.
+
+    Exact floor division by 12 * width months. Integer counts keep their
+    dtype; float counts (means) and a step past the counts' dtype give int64.
+    """
+    step = 12 * width
+    if months.dtype.kind == "i" and step <= np.iinfo(months.dtype).max:
+        return months // step
+    return (months // np.int64(step)).astype(np.int64, copy=False)
 
 
 def normalize_label(raw: str) -> str:
@@ -181,6 +192,12 @@ class UserProfile:
         return self.education_entries >= 1 and len(self.skills) >= 1
 
 
+# The dtype of every per-row table column: label ids, key codes, user
+# indices, job rows, month ordinals and per-user counts. Offsets into the
+# rows stay intp, and packed keys int64 (_pack).
+ROW_DTYPE = np.dtype(np.int32)
+
+
 def read_only(*arrays: np.ndarray) -> None:
     """Clear each array's writeable flag: how every table freezes its columns."""
     for a in arrays:
@@ -247,19 +264,19 @@ class ProfileTable(RowViews):
 
     labels: tuple[str, ...]
     user_id: tuple[str, ...]
-    user_code: np.ndarray  # intp
-    grad: np.ndarray  # int64
-    education: np.ndarray  # int64
+    user_code: np.ndarray  # int32
+    grad: np.ndarray  # int32
+    education: np.ndarray  # int64, the exact count
     skill_start: np.ndarray  # intp, one more than there are users
-    skill: np.ndarray  # intp
-    user: np.ndarray  # intp, ascending
-    title: np.ndarray  # intp
-    organization: np.ndarray  # intp
-    industry: np.ndarray  # intp
-    start: np.ndarray  # int64
-    end: np.ndarray  # int64
+    skill: np.ndarray  # int32
+    user: np.ndarray  # int32, ascending
+    title: np.ndarray  # int32
+    organization: np.ndarray  # int32
+    industry: np.ndarray  # int32
+    start: np.ndarray  # int32
+    end: np.ndarray  # int32
     months: Mapping[int, DateMonth] = field(default_factory=dict)
-    job_start: np.ndarray = field(init=False)
+    job_start: np.ndarray = field(init=False)  # intp
     _views: tuple[UserProfile, ...] | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -345,8 +362,8 @@ class ProfileTable(RowViews):
     def take(self, keep: np.ndarray) -> "ProfileTable":
         """The users where the bool mask keep is set, in order, with their jobs."""
         users = np.flatnonzero(keep)
-        rows = np.flatnonzero(keep[self.user])
-        skill_count = self.skill_count
+        skill_count, job_count = self.skill_count, np.diff(self.job_start)
+        rows = np.flatnonzero(np.repeat(keep, job_count))
         return ProfileTable(
             self.labels,
             tuple(map(self.user_id.__getitem__, users.tolist())),
@@ -355,7 +372,7 @@ class ProfileTable(RowViews):
             self.education[users],
             _offsets(skill_count[users]),
             self.skill[np.repeat(keep, skill_count)],
-            (np.cumsum(keep) - 1)[self.user[rows]],
+            np.repeat(np.arange(len(users), dtype=ROW_DTYPE), job_count[users]),
             self.title[rows],
             self.organization[rows],
             self.industry[rows],
@@ -368,12 +385,18 @@ class ProfileTable(RowViews):
         return f"ProfileTable({len(self)} profiles, {len(self.user)} jobs)"
 
 
+# The dtype of each array ProfileColumns.arrays() gives, in its order.
+_ARRAY_DTYPES = (ROW_DTYPE, np.dtype(np.int64), *(ROW_DTYPE,) * 8)
+
+
 class ProfileColumns:
     """Profiles appended as flat int lists or as packed arrays, until table()
     packs them.
 
     The one way a ProfileTable is built: ingest, ProfileTable.of and
-    StintTable.of_endpoints all fill one. ids maps labels to their ids,
+    StintTable.of_endpoints all fill one. It packs every column as
+    ROW_DTYPE but the education counts, which stay exact int64; a value
+    past the dtype raises OverflowError. ids maps labels to their ids,
     positions in labels; months maps each month ordinal to one DateMonth;
     seen_ids holds the user ids added. User codes number the ids in order of
     first appearance, so equal ids get equal codes; while the ids are
@@ -434,9 +457,20 @@ class ProfileColumns:
         self.job_count.append(len(jobs) // 5)
         self.jobs += jobs
 
-    def extend(self, user_id: Sequence[str], arrays: Sequence[np.ndarray]) -> None:
-        """Append profiles packed as arrays() gives them, coded here."""
+    def extend(
+        self, user_id: Sequence[str], arrays: Sequence[np.ndarray], labels: Sequence[str]
+    ) -> None:
+        """Append profiles packed as another ProfileColumns' arrays() gives
+        them, with their label ids into labels.
+
+        The labels are coded here, through label() in their order, which
+        gives the ids that adding those profiles one by one gives.
+        """
         self._pack()
+        code = np.fromiter(map(self.label, labels), ROW_DTYPE, len(labels))
+        arrays = list(arrays)
+        for i in (3, 5, 6, 7):  # skill, title, organization and industry ids
+            arrays[i] = code[arrays[i]]
         self.seen_ids.update(user_id)
         self.user_id += user_id
         self.blocks.append(tuple(arrays))
@@ -444,25 +478,27 @@ class ProfileColumns:
     def _pack(self) -> None:
         """Move the profiles in the lists into a block of arrays."""
         if self.grad:
-            self.blocks.append((
-                *(np.array(c, np.int64)
-                  for c in (self.grad, self.education, self.skill_count, self.skill,
-                            self.job_count)),
-                *(np.array(self.jobs[i::5], np.int64) for i in range(5)),
+            self.blocks.append(tuple(
+                np.array(c, dtype) for c, dtype in zip(
+                    (self.grad, self.education, self.skill_count, self.skill, self.job_count,
+                     *(self.jobs[i::5] for i in range(5))),
+                    _ARRAY_DTYPES,
+                )
             ))
             self.grad, self.education, self.skill_count = [], [], []
             self.skill, self.job_count, self.jobs = [], [], []
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """The profiles as int64 arrays: per user the graduation ordinal,
-        education count and skill count; the skill ids; per user the job
-        count; and per job the title, organization and industry ids and the
-        start and end ordinals."""
+        """The profiles as arrays: per user the graduation ordinal, education
+        count and skill count; the skill ids; per user the job count; and per
+        job the title, organization and industry ids and the start and end
+        ordinals. The education counts are int64, every other array is
+        ROW_DTYPE."""
         self._pack()
         if len(self.blocks) != 1:
             self.blocks = [tuple(
                 np.concatenate(c) for c in zip(*self.blocks)
-            ) if self.blocks else (np.zeros(0, np.int64),) * 10]
+            ) if self.blocks else tuple(np.zeros(0, dtype) for dtype in _ARRAY_DTYPES)]
         return self.blocks[0]
 
     def table(
@@ -478,12 +514,12 @@ class ProfileColumns:
         return ProfileTable(
             tuple(self.labels),
             tuple(self.user_id),
-            np.arange(n) if len(self.seen_ids) == n else _codes(self.user_id),
+            np.arange(n, dtype=ROW_DTYPE) if len(self.seen_ids) == n else _codes(self.user_id),
             grad,
             education,
             _offsets(skill_count),
             skill,
-            np.repeat(np.arange(n), job_count),
+            np.repeat(np.arange(n, dtype=ROW_DTYPE), job_count),
             title,
             organization,
             industry,
@@ -505,8 +541,9 @@ class StintDrops:
 
 
 def _resolve_ends(end: np.ndarray, curr_date: DateMonth) -> np.ndarray:
-    """End ordinals with an open end, NO_DATE, resolved to curr_date."""
-    return np.where(end == NO_DATE, curr_date.ordinal, end)
+    """End ordinals with an open end, NO_DATE, resolved to curr_date; a
+    curr_date past the ends' dtype raises OverflowError."""
+    return np.where(end == NO_DATE, end.dtype.type(curr_date.ordinal), end)
 
 
 def usable_stints(
@@ -547,27 +584,29 @@ class StintTable:
     is the months from the user's graduation to the end, or NO_EXPERIENCE
     without a graduation date or when the stint ended before it. Rows keep
     listing order, profile by profile. drops counts the stints usable_stints
-    left out and the usable ones that ended before graduation.
+    left out and the usable ones that ended before graduation. Where every
+    job of the source is a stint, user and start are the source's own
+    arrays, not copies.
 
     A table of hop endpoints has no curr_date: its source holds one
     single-job user per endpoint, every endpoint is a row, open ends read
     NO_DATE and work_exp is NO_EXPERIENCE throughout. The arrays are
-    read-only.
+    read-only, and every one is ROW_DTYPE.
     """
 
     curr_date: DateMonth | None
     source: ProfileTable
-    rows: np.ndarray  # intp
-    user: np.ndarray  # intp
-    job_key: np.ndarray  # intp
+    rows: np.ndarray  # int32
+    user: np.ndarray  # int32
+    job_key: np.ndarray  # int32
     job_keys: tuple[JobKey, ...]
-    org_key: np.ndarray  # intp
+    org_key: np.ndarray  # int32
     org_keys: tuple[OrgJobKey, ...]
-    org: np.ndarray  # intp
+    org: np.ndarray  # int32
     orgs: tuple[str, ...]
-    start: np.ndarray  # int64
-    end: np.ndarray  # int64
-    work_exp: np.ndarray  # int64
+    start: np.ndarray  # int32
+    end: np.ndarray  # int32
+    work_exp: np.ndarray  # int32
     drops: StintDrops
 
     @classmethod
@@ -578,9 +617,11 @@ class StintTable:
 
         profiles may be a ProfileTable or UserProfile objects, which are
         packed into one (ProfileTable.of). One usable_stints pass over all
-        their jobs. A StintTable built for another analysis date raises
-        ValueError.
+        their jobs. A curr_date of None, and a StintTable built for another
+        analysis date, raise ValueError.
         """
+        if curr_date is None:
+            raise ValueError("a stint table needs an analysis date, not None")
         if isinstance(profiles, StintTable):
             if profiles.curr_date != curr_date:
                 raise ValueError(
@@ -589,9 +630,10 @@ class StintTable:
             return profiles
         source = ProfileTable.of(profiles)
         usable, future, invalid = usable_stints(source.start, source.end, curr_date)
-        rows = np.flatnonzero(usable)
-        end = _resolve_ends(source.end[rows], curr_date)
-        grad = source.grad[source.user[rows]]
+        rows = np.flatnonzero(usable) if future or invalid else None
+        end = _resolve_ends(_pick(source.end, rows), curr_date)
+        # Each job's graduation month, repeated over the user's jobs.
+        grad = _pick(np.repeat(source.grad, np.diff(source.job_start)), rows)
         work_exp = work_experience_months(end, grad)
         ended_before_grad = np.count_nonzero((grad != NO_DATE) & (work_exp == NO_EXPERIENCE))
         drops = StintDrops(future, invalid, int(ended_before_grad))
@@ -606,8 +648,7 @@ class StintTable:
         source = columns.table()
         n = len(source)
         return _stint_table(
-            None, source, np.arange(n), source.end, np.full(n, NO_EXPERIENCE, np.int64),
-            StintDrops(),
+            None, source, None, source.end, np.full(n, NO_EXPERIENCE, ROW_DTYPE), StintDrops()
         )
 
     @property
@@ -646,12 +687,12 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 def _codes(values: Sequence) -> np.ndarray:
     """A code per value: the values numbered in order of first appearance."""
     codes: dict = {}
-    return np.fromiter((codes.setdefault(v, len(codes)) for v in values), np.intp, len(values))
+    return np.fromiter((codes.setdefault(v, len(codes)) for v in values), ROW_DTYPE, len(values))
 
 
 def label_ranks(labels: Sequence[str]) -> np.ndarray:
     """Each label id's position in the sorted order of the label strings."""
-    rank = np.empty(len(labels), np.intp)
+    rank = np.empty(len(labels), ROW_DTYPE)
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     return rank
 
@@ -663,27 +704,37 @@ def _sorted_codes(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tuples (groups).
     """
     order, first, size = groups(*columns)
-    codes = np.empty(len(order), np.intp)
-    codes[order] = np.repeat(np.arange(len(first)), size)
+    codes = np.empty(len(order), ROW_DTYPE)
+    codes[order] = np.repeat(np.arange(len(first), dtype=ROW_DTYPE), size)
     return codes, order[first]
 
 
+def _pick(column: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """The column's values at rows, or the column itself when rows is None."""
+    return column if rows is None else column[rows]
+
+
 def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
+    """The table of the source's job rows at rows, an intp index, or of every
+    job row when rows is None; end and work_exp are already those rows'."""
     # Keys are coded from label ranks, so that their codes ascend as the key
     # tuples sort.
     rank = label_ranks(source.labels)
-    title = source.title[rows]
-    industry = source.industry[rows]
-    organization = source.organization[rows]
-    job_key, job_first = _sorted_codes(rank[title], rank[industry])
-    org_key, org_key_first = _sorted_codes(rank[title], rank[organization])
-    org, org_first = _sorted_codes(rank[organization])
+    title = _pick(source.title, rows)
+    industry = _pick(source.industry, rows)
+    organization = _pick(source.organization, rows)
+    title_rank, org_rank = rank[title], rank[organization]
+    job_key, job_first = _sorted_codes(title_rank, rank[industry])
+    org_key, org_key_first = _sorted_codes(title_rank, org_rank)
+    org, org_first = _sorted_codes(org_rank)
+    del title_rank, org_rank
 
     def labels(ids: np.ndarray) -> Iterator[str]:
         return map(source.labels.__getitem__, ids.tolist())
 
-    user = source.user[rows]
-    start = source.start[rows]
+    user = _pick(source.user, rows)
+    start = _pick(source.start, rows)
+    rows = np.arange(len(end), dtype=ROW_DTYPE) if rows is None else rows.astype(ROW_DTYPE)
     read_only(rows, user, job_key, org_key, org, start, end, work_exp)
     return StintTable(
         curr_date,

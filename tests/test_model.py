@@ -25,6 +25,7 @@ from talentflow.model import (
     months_between,
     normalize_label,
     sort_order,
+    year_bins,
 )
 from helpers import dm, profile, job
 
@@ -32,6 +33,23 @@ from helpers import dm, profile, job
 date_months = st.builds(
     DateMonth, year=st.integers(1950, 2050), month=st.integers(1, 12)
 )
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_year_bins_are_the_float_bins_exactly(dtype):
+    # Integer floor division by 12 * width gives the bins that dividing the
+    # years, months / 12.0, by the width gave, in the counts' own dtype.
+    months = np.arange(-1, 200_001, dtype=dtype)
+    for width in (1, 2, 5, 7):
+        got = year_bins(months, width)
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.floor_divide(months / 12.0, width).astype(np.int64))
+    # A step past the dtype, and float means, give int64 bins.
+    huge = year_bins(np.array([-1, 0, 119_999], dtype), 10**12)
+    assert huge.dtype == np.int64 and huge.tolist() == [-1, 0, 0]
+    means = np.array([0.0, 59.5, 60.0, 119.99, 7.25])
+    assert year_bins(means, 5).tolist() == [0, 0, 1, 1, 0]
+    assert year_bins(means, 5).dtype == np.int64
 
 
 def test_months_between_examples():

@@ -61,6 +61,7 @@ from talentflow.model import (
     StintDrops,
     StintTable,
     UserProfile,
+    label_ranks,
     months_between,
 )
 from talentflow.ingest import filter_active, ingest_profiles
@@ -424,6 +425,80 @@ def test_hand_built_lists_equal_the_references(tmp_path):
     assert HopTable.of(hops) == hops and HopTable.of(hops)[1:3] == hops[1:3]
 
 
+# Labels enough that (title, organization) and (title, industry) label
+# ranks, which key codes are numbered from, span more than 2**31 pairs: the
+# ranks of a job's labels run from the first of them to the last.
+WIDE_SKILLS = frozenset(f"m{i:05d}" for i in range(47_000))
+WIDE_JOBS = [("aa first", "aa org", "aa ind"), ("zz last", "zz org", "zz ind"),
+             ("aa first", "zz org", "zz ind"), ("zz last", "aa org", "aa ind"),
+             ("mid", "zz org", "aa ind")]
+
+
+@st.composite
+def wide_corpus_st(draw):
+    def job_at(labels, start, end):
+        return JobRecord(*labels, month(start), None if end is None else month(end))
+
+    # One profile carries every skill label and a stint at both ends of the
+    # label order; the others draw their jobs from those ends.
+    anchor = UserProfile("anchor", month(0), WIDE_SKILLS, 1,
+                         (job_at(WIDE_JOBS[0], 1, 4), job_at(WIDE_JOBS[1], 5, None)))
+    profiles = [anchor]
+    for i in range(draw(st.integers(1, 6))):
+        jobs = draw(st.lists(st.tuples(st.sampled_from(WIDE_JOBS), st.integers(0, 24),
+                                       st.one_of(st.none(), st.integers(0, 30))),
+                             max_size=5))
+        grad = draw(st.one_of(st.none(), st.integers(-12, 12).map(month)))
+        profiles.append(UserProfile(f"u{i}", grad, frozenset({"m00001", "zz skill"}), 1,
+                                    tuple(job_at(*j) for j in jobs)))
+    return profiles
+
+
+def span(values):
+    return int(values.max()) - int(values.min()) + 1
+
+
+@given(wide_corpus_st(), st.integers(26, 40), st.integers(1, 5))
+@settings(max_examples=8, deadline=None)
+def test_key_products_past_int32_equal_the_references(tmp_path_factory, profiles, curr, width):
+    # Key codes, hops, cohort cells and report rows read int32 columns whose
+    # packed (title, organization) and (title, industry) keys pass 2**31;
+    # the references read the objects.
+    cfg = config(str(month(curr)), min_support=1, cohort_min_support=1,
+                 group_bin_width_years=width)
+    stints = StintTable.of(profiles, cfg.curr_date)
+    source = stints.source
+    rank = label_ranks(source.labels)
+    title, org, industry = (rank[c[stints.rows]]
+                            for c in (source.title, source.organization, source.industry))
+    assert span(title) * span(org) > 2**31 and span(title) * span(industry) > 2**31
+    assert list(stints.org_keys) == sorted(set(stints.org_keys))
+    assert [stints.org_keys[k] for k in stints.org_key.tolist()] == [
+        j.org_key for p in profiles for j in usable_jobs(p, cfg.curr_date)]
+
+    want_hops, want_drops = ref_extract_all_hops(profiles, cfg)
+    hops, drops = extract_all_hops(stints, cfg)
+    assert hops == want_hops and drops == want_drops
+    index = CorpusIndex.build(stints, cfg)
+    assert index == ref_index(profiles, cfg)
+    by_id = {p.user_id: p for p in profiles}
+    for axes in AXES:
+        assert (external_hop_fraction(hops, axes, index, source)
+                == ref_external_hop_fraction(want_hops, axes, index, by_id))
+    records = level_gains(hops, index)
+    want_records = ref_level_gains(want_hops, index)
+    assert records == want_records
+    for level in GraphLevel:
+        assert (build_graph(hops, level, cfg, stints)
+                == ref_build_graph(want_hops, level, cfg, profiles))
+
+    tmp = tmp_path_factory.mktemp("wide")
+    assert (rows_of(write_distributions(stints, cfg, tmp / "d.csv"))
+            == as_cells(ref_distribution_rows(profiles, cfg)))
+    assert (rows_of(write_level_gain_hist(records, tmp / "g.csv"))
+            == as_cells(ref_level_gain_hist_rows(want_records)))
+
+
 @given(corpus_st(), cfg_st())
 @settings(max_examples=80, deadline=None)
 def test_adjacent_pairs_classify_as_classify_hop(profiles, cfg):
@@ -542,6 +617,24 @@ def test_write_all_reports_reads_each_profile_once_and_builds_no_objects(tmp_pat
     assert calls == Counter(usable_stints=1)
     assert len(filter_active(profiles)) > 0 and not profiles.is_active.all()
     assert stints.drops.future_jobs == 0
+
+
+def test_a_stint_table_without_an_analysis_date_is_refused(tmp_path):
+    # A hop-endpoint table has no analysis date. write_all_reports used to
+    # pass its None on to usable_stints, which failed with AttributeError.
+    spec = GeneratorSpec(seed=5, n_users=300)
+    generate(spec, tmp_path / "c.jsonl", tmp_path / "t.json")
+    profiles, _ = ingest_profiles(tmp_path / "c.jsonl")
+    cfg = config(str(spec.curr_date))
+    hops, _ = extract_all_hops(profiles, cfg)
+    endpoints = HopTable.of(list(hops[:50])).stints
+    assert endpoints.curr_date is None
+    with pytest.raises(ValueError, match="analysis date"):
+        reports.write_all_reports(endpoints, cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    for source in (profiles, endpoints.source):
+        with pytest.raises(ValueError, match="analysis date"):
+            StintTable.of(source, None)
 
 
 def test_graph_sweep_support_reads_the_hops_own_stints(tmp_path, monkeypatch):
