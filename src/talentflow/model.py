@@ -584,9 +584,7 @@ class StintTable:
     is the months from the user's graduation to the end, or NO_EXPERIENCE
     without a graduation date or when the stint ended before it. Rows keep
     listing order, profile by profile. drops counts the stints usable_stints
-    left out and the usable ones that ended before graduation. Where every
-    job of the source is a stint, user and start are the source's own
-    arrays, not copies.
+    left out and the usable ones that ended before graduation.
 
     A table of hop endpoints has no curr_date: its source holds one
     single-job user per endpoint, every endpoint is a row, open ends read
@@ -630,10 +628,9 @@ class StintTable:
             return profiles
         source = ProfileTable.of(profiles)
         usable, future, invalid = usable_stints(source.start, source.end, curr_date)
-        rows = np.flatnonzero(usable) if future or invalid else None
-        end = _resolve_ends(_pick(source.end, rows), curr_date)
-        # Each job's graduation month, repeated over the user's jobs.
-        grad = _pick(np.repeat(source.grad, np.diff(source.job_start)), rows)
+        rows = np.flatnonzero(usable)
+        end = _resolve_ends(source.end[rows], curr_date)
+        grad = source.grad[source.user[rows]]
         work_exp = work_experience_months(end, grad)
         ended_before_grad = np.count_nonzero((grad != NO_DATE) & (work_exp == NO_EXPERIENCE))
         drops = StintDrops(future, invalid, int(ended_before_grad))
@@ -648,7 +645,8 @@ class StintTable:
         source = columns.table()
         n = len(source)
         return _stint_table(
-            None, source, None, source.end, np.full(n, NO_EXPERIENCE, ROW_DTYPE), StintDrops()
+            None, source, np.arange(n), source.end, np.full(n, NO_EXPERIENCE, ROW_DTYPE),
+            StintDrops(),
         )
 
     @property
@@ -709,20 +707,15 @@ def _sorted_codes(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, order[first]
 
 
-def _pick(column: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """The column's values at rows, or the column itself when rows is None."""
-    return column if rows is None else column[rows]
-
-
 def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
-    """The table of the source's job rows at rows, an intp index, or of every
-    job row when rows is None; end and work_exp are already those rows'."""
+    """The table of the source's job rows at rows, an intp index; end and
+    work_exp are already those rows'."""
     # Keys are coded from label ranks, so that their codes ascend as the key
     # tuples sort.
     rank = label_ranks(source.labels)
-    title = _pick(source.title, rows)
-    industry = _pick(source.industry, rows)
-    organization = _pick(source.organization, rows)
+    title = source.title[rows]
+    industry = source.industry[rows]
+    organization = source.organization[rows]
     title_rank, org_rank = rank[title], rank[organization]
     job_key, job_first = _sorted_codes(title_rank, rank[industry])
     org_key, org_key_first = _sorted_codes(title_rank, org_rank)
@@ -732,9 +725,9 @@ def _stint_table(curr_date, source, rows, end, work_exp, drops) -> StintTable:
     def labels(ids: np.ndarray) -> Iterator[str]:
         return map(source.labels.__getitem__, ids.tolist())
 
-    user = _pick(source.user, rows)
-    start = _pick(source.start, rows)
-    rows = np.arange(len(end), dtype=ROW_DTYPE) if rows is None else rows.astype(ROW_DTYPE)
+    user = source.user[rows]
+    start = source.start[rows]
+    rows = rows.astype(ROW_DTYPE)
     read_only(rows, user, job_key, org_key, org, start, end, work_exp)
     return StintTable(
         curr_date,

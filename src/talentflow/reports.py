@@ -90,8 +90,8 @@ def write_distributions(
 ) -> Path:
     """Histograms of skill counts, work experience and job age.
 
-    Takes the profiles or their StintTable; the time axes bin years,
-    months / 12, in float64 as the scalar definitions do.
+    Takes the profiles or their StintTable; the time axes bin whole years,
+    an exact floor division of the months (model.year_bins).
     """
     stints = StintTable.of(profiles, config.curr_date)
     wk_months = stints.work_exp[stints.work_exp >= 0]
